@@ -195,7 +195,7 @@ def iterative_contraction(n=200, d=400, nu=0.2, ks=(8, 16, 32), T=5, seeds=10,
                     cum_viol += 1
     return CertResult(
         "iterative-contraction", ratio_viol == 0 and cum_viol == 0,
-        f"{runs} runs, {ratio_viol} ratio violations (worst {worst_ratio:.3f}), "
+        f"{runs} runs, {ratio_viol} ratio violations (worst {worst_ratio:.3e}), "
         f"{cum_viol} cumulative violations",
     )
 

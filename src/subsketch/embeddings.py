@@ -147,16 +147,6 @@ def build_oblivious_gaussian(d: int, spec: EmbeddingSpec) -> np.ndarray:
     return sample_gaussian_matrix(d, spec.m, 1.0 / spec.m, spec.seed)
 
 
-def build_column_subsample(n: int, m: int, rng: SeededRng) -> np.ndarray:
-    """n x m selector matrix: one unit entry per column, rows sampled without replacement."""
-    if m > n:
-        raise ValueError(f"cannot subsample m={m} columns from dimension n={n}")
-    idx = rng.generator().choice(n, size=m, replace=False)
-    S = np.zeros((n, m))
-    S[idx, np.arange(m)] = 1.0
-    return S
-
-
 def _draw_inner(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     """The product A.T @ S_tilde for the inner oblivious matrix of an adaptive sketch."""
     n = A.shape[0]
@@ -185,18 +175,21 @@ def build_adaptive(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     return S
 
 
+def _whiten_svd(S: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
+    """The thin SVD of S and the orthonormal basis :func:`whiten` returns."""
+    f = thin_svd(S, rank_tolerance)
+    if f.rank == 0:
+        raise DegenerateSketch("embedding has rank zero; nothing to whiten")
+    return f, (f.u @ f.vt if f.rank == S.shape[1] else f.u)
+
+
 def whiten(S: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
     """Orthonormal basis of range(S): the polar factor ``U_S @ V_S.T`` when S has
     full column rank, the left factor ``U_S`` otherwise.
 
     Raises :class:`DegenerateSketch` for a rank-zero embedding.
     """
-    f = thin_svd(S, rank_tolerance)
-    if f.rank == 0:
-        raise DegenerateSketch("embedding has rank zero; nothing to whiten")
-    if f.rank == S.shape[1]:
-        return f.u @ f.vt
-    return f.u
+    return _whiten_svd(S, rank_tolerance)[1]
 
 
 def build_sketch(A: np.ndarray, spec: EmbeddingSpec,

@@ -3,10 +3,11 @@
 The zero-order estimate is the linear reconstruction ``q_s @ alpha``; the
 first-order estimate applies the dual map ``-(1/lam) A.T grad_f(A x)``, one
 implicit gradient step that provably contracts the error whenever the
-regularization dominates the squared projection residual.  Pipelines cover the
-single-shot whitened recovery, its iterative refinement reusing one sketch,
-the unbiased oblivious baseline, the column-subsampling baseline, and the
-restricted-dual recovery for non-smooth losses.
+regularization dominates the squared projection residual.  One round loop runs
+the smooth pipelines: the single-shot whitened recovery (any embedding family,
+column subsampling included), its iterative refinement reusing one sketch, and
+the unbiased oblivious baseline.  Non-smooth losses recover through the
+restricted sketched dual.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import numpy as np
 
 from subsketch.embeddings import (
     ADAPTIVE_KINDS,
-    COLUMN_SUBSAMPLE,
     EmbeddingSpec,
-    Sketch,
     build_sketch,
     projection_residual_norm,
 )
@@ -118,19 +117,77 @@ def reference_provenance(loss, lam: float, opts: SolveOptions) -> str:
     return f"{loss.kind}:lam={lam:.12g}:tol={opts.grad_tolerance:g}:it={opts.max_iters}"
 
 
-def _ensure_reference(A, loss, lam, opts, x_star):
+def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
+    """``x_star`` as an array, or the full-dimensional reference solve with ``opts``."""
     if x_star is not None:
         return np.asarray(x_star, dtype=float)
-    if isinstance(loss, SmoothLoss):
+    if loss.smooth:
         return solve_primal_reference(A, loss, lam, opts).minimizer
-    x_star, _ = solve_nonsmooth_primal_reference(A, loss, lam)
+    x_star, _ = solve_nonsmooth_primal_reference(A, loss, lam, opts)
     return x_star
+
+
+def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, route,
+                   rng: SeededRng, opts, x_star, t0, T=None, error_floor=0.0):
+    """The smooth recovery loop in the coordinates ``q_s`` (``a_qs = A @ q_s``).
+
+    Round 1 solves the sketched program; every later round solves it shifted by
+    the previous first-order iterate.  Each round maps back through the dual
+    map and yields one report; ``certified`` adds the bound and the
+    regularization condition for the measured ``residual``.  ``T=None`` is the
+    single-shot pipeline: one round, reported as ``t=0``.  A round's runtime
+    starts where the previous one ended, the first at ``t0``.
+    """
+    dim = q_s.shape[0]
+    x_star = _pad(_ensure_reference(A, loss, lam, opts, x_star), dim)
+    x_star_norm = float(np.linalg.norm(x_star))
+    mu = loss.smoothness
+    cond_ok = certified and bool(lam >= 2.0 * mu * residual**2)
+    reports: list[RecoveryReport] = []
+    x_hat = None
+    for t in range(1, (T or 1) + 1):
+        if x_hat is None:
+            res = solve_sketched(a_qs, loss, lam, opts)
+            v = zero_order(q_s, res.minimizer)
+            inner = a_qs @ res.minimizer
+        else:
+            image = A @ x_hat[: A.shape[1]]
+            res = solve_sketched_shifted(a_qs, image, q_s.T @ x_hat, loss, lam, opts)
+            v = x_hat + zero_order(q_s, res.minimizer)
+            inner = a_qs @ res.minimizer + image
+        x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, dim)
+        rel0 = _rel_err(v, x_star, x_star_norm)
+        rel1 = _rel_err(x_hat, x_star, x_star_norm)
+        bound = np.sqrt(mu / (2.0 * lam)) * residual * min(1.0, rel0) if certified else np.nan
+        t1 = time.perf_counter()
+        reports.append(RecoveryReport(
+            alpha=res.minimizer, x0=v, x1=x_hat, rel_err_x0=rel0, rel_err_x1=rel1,
+            residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
+            runtime_ms=(t1 - t0) * 1e3, seed=rng.seed, stream_id=rng.stream_id,
+            route=route, provenance=reference_provenance(loss, lam, opts),
+            x_star_norm=x_star_norm, objective=res.objective,
+            iterations=res.iterations, converged=res.converged, t=t if T else 0,
+        ))
+        t0 = t1
+        if not res.converged or rel1 < error_floor:
+            break
+    return reports
+
+
+def _sketch_rounds(A, loss, lam, spec: EmbeddingSpec, opts, x_star, compute_residual,
+                   route, T=None, error_floor=0.0):
+    """Draw and whiten the embedding of ``spec``, then run the round loop in its basis."""
+    t0 = time.perf_counter()
+    A = np.asarray(A, dtype=float)
+    sketch = build_sketch(A, spec)
+    residual = projection_residual_norm(A, sketch.q_s) if compute_residual else float("nan")
+    return _smooth_rounds(A, loss, lam, sketch.q_s, sketch.a_qs, residual, compute_residual,
+                          route, spec.seed, opts, x_star, t0, T, error_floor)
 
 
 def recover_whitened(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
                      opts: SolveOptions = SolveOptions(), x_star=None,
-                     compute_residual: bool = True,
-                     sketch: Sketch | None = None) -> RecoveryReport:
+                     compute_residual: bool = True) -> RecoveryReport:
     """Whitened recovery pipeline for a smooth loss and any embedding family.
 
     Draws the embedding, whitens it, solves the low-dimensional program with
@@ -138,55 +195,7 @@ def recover_whitened(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
     certificate quantities (projection residual, bound right-hand side, and
     whether the regularization condition held).
     """
-    t0 = time.perf_counter()
-    A = np.asarray(A, dtype=float)
-    if sketch is None:
-        sketch = build_sketch(A, spec)
-    x_star = _ensure_reference(A, loss, lam, opts, x_star)
-    x_star = _pad(x_star, sketch.ambient_dim)
-    x_star_norm = float(np.linalg.norm(x_star))
-
-    res = solve_sketched(sketch.a_qs, loss, lam, opts)
-    alpha = res.minimizer
-    x0 = zero_order(sketch.q_s, alpha)
-    grad = loss.gradient(sketch.a_qs @ alpha)
-    x1 = _pad(-(A.T @ grad) / lam, sketch.ambient_dim)
-
-    residual = projection_residual_norm(A, sketch.q_s) if compute_residual else float("nan")
-    rel0 = _rel_err(x0, x_star, x_star_norm)
-    rel1 = _rel_err(x1, x_star, x_star_norm)
-    mu = loss.smoothness
-    if compute_residual:
-        bound = np.sqrt(mu / (2.0 * lam)) * residual * min(1.0, rel0)
-        cond_ok = lam >= 2.0 * mu * residual**2
-    else:
-        bound, cond_ok = float("nan"), False
-    return RecoveryReport(
-        alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
-        residual_norm=residual, bound_rhs=float(bound), condition_ok=bool(cond_ok),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        seed=spec.seed.seed, stream_id=spec.seed.stream_id,
-        route=spec.kind, provenance=reference_provenance(loss, lam, opts),
-        x_star_norm=x_star_norm, objective=res.objective,
-        iterations=res.iterations, converged=res.converged,
-    )
-
-
-def recover_adaptive(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
-                     opts: SolveOptions = SolveOptions(), x_star=None,
-                     compute_residual: bool = True) -> RecoveryReport:
-    """Single-shot adaptive recovery: sketch, whiten, solve, dual map."""
-    if spec.kind not in ADAPTIVE_KINDS and spec.kind != COLUMN_SUBSAMPLE:
-        raise ValueError(f"recover_adaptive expects an adaptive embedding, got {spec.kind!r}")
-    return recover_whitened(A, loss, lam, spec, opts, x_star, compute_residual)
-
-
-def recover_nystrom(A, loss: SmoothLoss, lam: float, m: int, rng: SeededRng,
-                    opts: SolveOptions = SolveOptions(), x_star=None,
-                    compute_residual: bool = True) -> RecoveryReport:
-    """Baseline with a uniform column-subsampling inner matrix (no replacement)."""
-    spec = EmbeddingSpec(kind=COLUMN_SUBSAMPLE, m=m, seed=rng)
-    return recover_whitened(A, loss, lam, spec, opts, x_star, compute_residual)
+    return _sketch_rounds(A, loss, lam, spec, opts, x_star, compute_residual, spec.kind)[0]
 
 
 def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: int,
@@ -202,77 +211,22 @@ def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: i
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    A = np.asarray(A, dtype=float)
-    sketch = build_sketch(A, spec)
-    x_star = _ensure_reference(A, loss, lam, opts, x_star)
-    x_star = _pad(x_star, sketch.ambient_dim)
-    x_star_norm = float(np.linalg.norm(x_star))
-    residual = projection_residual_norm(A, sketch.q_s) if compute_residual else float("nan")
-    mu = loss.smoothness
-    cond_ok = bool(lam >= 2.0 * mu * residual**2) if compute_residual else False
-
-    d = A.shape[1]
-    reports: list[RecoveryReport] = []
-    x_hat = np.zeros(sketch.ambient_dim)
-    image = np.zeros(A.shape[0])  # A @ x_hat
-    for t in range(1, T + 1):
-        t0 = time.perf_counter()
-        res = solve_sketched_shifted(sketch.a_qs, image, sketch.q_s.T @ x_hat, loss, lam, opts)
-        alpha = res.minimizer
-        inner = sketch.a_qs @ alpha + image
-        v = x_hat + zero_order(sketch.q_s, alpha)
-        x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, sketch.ambient_dim)
-        image = A @ x_hat[:d]
-        rel0 = _rel_err(v, x_star, x_star_norm)
-        rel1 = _rel_err(x_hat, x_star, x_star_norm)
-        bound = np.sqrt(mu / (2.0 * lam)) * residual * min(1.0, rel0) if compute_residual else float("nan")
-        reports.append(RecoveryReport(
-            alpha=alpha, x0=v, x1=x_hat, rel_err_x0=rel0, rel_err_x1=rel1,
-            residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
-            runtime_ms=(time.perf_counter() - t0) * 1e3,
-            seed=spec.seed.seed, stream_id=spec.seed.stream_id,
-            route=f"iterative-{spec.kind}",
-            provenance=reference_provenance(loss, lam, opts),
-            x_star_norm=x_star_norm, objective=res.objective,
-            iterations=res.iterations, converged=res.converged, t=t,
-        ))
-        if not res.converged or rel1 < error_floor:
-            break
-    return reports
+    return _sketch_rounds(A, loss, lam, spec, opts, x_star, compute_residual,
+                          f"iterative-{spec.kind}", T, error_floor)
 
 
 def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, m: int, rng: SeededRng,
                              opts: SolveOptions = SolveOptions(), x_star=None,
                              compute_residual: bool = False) -> RecoveryReport:
     """Unbiased oblivious baseline: plain Gaussian Q with the isotropic
-    regularizer and no whitening."""
+    regularizer and no whitening.  Reports no bound."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
-    d = A.shape[1]
-    Q = sample_gaussian_matrix(d, m, 1.0 / m, rng)
-    aq = A @ Q
-    x_star = _ensure_reference(A, loss, lam, opts, x_star)
-    x_star_norm = float(np.linalg.norm(x_star))
-    res = solve_sketched(aq, loss, lam, opts)
-    alpha = res.minimizer
-    x0 = Q @ alpha
-    x1 = -(A.T @ loss.gradient(aq @ alpha)) / lam
-    if compute_residual:
-        basis, _ = np.linalg.qr(Q)
-        residual = projection_residual_norm(A, basis)
-    else:
-        residual = float("nan")
-    rel0 = _rel_err(x0, x_star, x_star_norm)
-    rel1 = _rel_err(x1, x_star, x_star_norm)
-    return RecoveryReport(
-        alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
-        residual_norm=residual, bound_rhs=float("nan"), condition_ok=False,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        seed=rng.seed, stream_id=rng.stream_id, route="oblivious-dagger",
-        provenance=reference_provenance(loss, lam, opts),
-        x_star_norm=x_star_norm, objective=res.objective,
-        iterations=res.iterations, converged=res.converged,
-    )
+    Q = sample_gaussian_matrix(A.shape[1], m, 1.0 / m, rng)
+    residual = (projection_residual_norm(A, np.linalg.qr(Q)[0]) if compute_residual
+                else float("nan"))
+    return _smooth_rounds(A, loss, lam, Q, A @ Q, residual, False, "oblivious-dagger", rng,
+                          opts, x_star, t0)[0]
 
 
 def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,

@@ -30,8 +30,8 @@ from subsketch.embeddings import (
     EmbeddingSpec,
 )
 from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS, make_loss
-from subsketch.numkit import SeededRng, thin_svd
-from subsketch.solvers import SolveOptions, solve_nonsmooth_primal_reference, solve_primal_reference
+from subsketch.numkit import SeededRng
+from subsketch.solvers import SolveOptions
 
 log = logging.getLogger("subsketch")
 
@@ -148,8 +148,9 @@ def write_records(path, records: list[RunRecord]) -> None:
         raise
 
 
-def write_summary(path, records: list[RunRecord]) -> dict:
-    """Per (embedding, m) cell means and twice the standard deviations."""
+def write_summary(path, records: list[RunRecord], failed: list[dict]) -> dict:
+    """Per (embedding, m) cell means and twice the standard deviations, plus the
+    cells that raised (trial, m and exception text), which have no records."""
     cells: dict[tuple, dict] = {}
     for rec in records:
         key = (rec.embedding, rec.m)
@@ -167,6 +168,7 @@ def write_summary(path, records: list[RunRecord]) -> dict:
                 entry[f"mean_{fld}"] = float(arr.mean())
                 entry[f"two_std_{fld}"] = float(2.0 * arr.std(ddof=1)) if arr.size > 1 else 0.0
         summary["cells"].append(entry)
+    summary["failed"] = failed
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
@@ -205,6 +207,17 @@ class ExperimentConfig:
             raise ValueError("m list must be sorted ascending")
         if self.trials < 1 or self.T < 1:
             raise ValueError("trials and T must be >= 1")
+        # combinations whose every cell would raise
+        if self.embedding == "oblivious-dagger" and self.experiment in (
+                "iterative", "nonsmooth", "conditioning", "risk"):
+            raise ValueError("embedding 'oblivious-dagger' is only valid for recover and sweep")
+        if self.experiment == "nonsmooth" and (
+                self.loss not in NONSMOOTH_KINDS
+                or EMBEDDING_NAMES[self.embedding] not in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)):
+            raise ValueError("nonsmooth needs a non-smooth loss and an adaptive embedding")
+        if self.experiment in ("recover", "sweep", "iterative", "kernel") and (
+                self.loss not in SMOOTH_KINDS):
+            raise ValueError(f"{self.experiment} needs a smooth loss, not {self.loss!r}")
 
     def spectrum(self) -> synth.SpectrumSpec:
         if self.decay == synth.GEOMETRIC:
@@ -318,13 +331,6 @@ def build_instance(config: ExperimentConfig):
     return A, summary, loss
 
 
-def _reference(A, loss, config: ExperimentConfig):
-    if loss.smooth:
-        return solve_primal_reference(A, loss, config.lam, config.solve_options()).minimizer
-    x_star, _ = solve_nonsmooth_primal_reference(A, loss, config.lam, config.dual_options())
-    return x_star
-
-
 def _record_base(config: ExperimentConfig, trial: int, m: int | None, summary) -> RunRecord:
     rec = RunRecord(
         experiment=config.experiment, trial=trial, seed=config.seed, n=config.n,
@@ -430,11 +436,15 @@ def _kernel_cell(config, A, summary, loss, trial, m, rng):
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Run all (trial, m) cells of an experiment, write the CSV and JSON
-    summary atomically, and return the records in (trial, m) order."""
+    summary atomically, and return the records in (trial, m) order.
+
+    A cell that raises writes no records; it is logged and listed under
+    ``failed`` in the summary."""
     A, summary, loss = build_instance(config)
     x_star = None
     if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
-        x_star = _reference(A, loss, config)
+        opts = config.solve_options() if loss.smooth else config.dual_options()
+        x_star = estimators._ensure_reference(A, loss, config.lam, opts)
 
     cells = [(trial, m_idx, m)
              for trial in range(config.trials)
@@ -448,25 +458,25 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     def work(cell):
         trial, m_idx, m = cell
         try:
-            return cell, _run_cell(config, A, summary, loss, x_star, trial, m_idx, m)
-        except Exception:
+            return cell, _run_cell(config, A, summary, loss, x_star, trial, m_idx, m), None
+        except Exception as exc:
             log.exception("cell (trial=%s, m=%s) failed", trial, m)
-            rec = _record_base(config, trial, m, summary)
-            rec.condition_ok = False
-            return cell, [rec]
+            return cell, [], {"trial": trial, "m": m, "error": f"{type(exc).__name__}: {exc}"}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, cells))
     else:
         results = [work(cell) for cell in cells]
-    results.sort(key=lambda pair: (pair[0][0], pair[0][1]))
-    records = [rec for _, recs in results for rec in recs]
-
+    results.sort(key=lambda res: (res[0][0], res[0][1]))
+    records = [rec for _, recs, _ in results for rec in recs]
     write_records(config.out_path, records)
-    base, _ = os.path.splitext(config.out_path)
-    write_summary(base + ".summary.json", records)
+    write_summary(_summary_path(config), records, [fail for _, _, fail in results if fail])
     return records
+
+
+def _summary_path(config: ExperimentConfig) -> str:
+    return os.path.splitext(config.out_path)[0] + ".summary.json"
 
 
 def run_certify(config: ExperimentConfig) -> int:
@@ -485,6 +495,11 @@ def main(argv=None) -> int:
         return run_certify(config)
     records = run_experiment(config)
     print(f"wrote {len(records)} records to {config.out_path}")
+    with open(_summary_path(config)) as fh:
+        failed = json.load(fh)["failed"]
+    if failed:
+        print(f"{len(failed)} cell(s) failed; see {_summary_path(config)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from subsketch.embeddings import DegenerateSketch
+from subsketch.embeddings import _whiten_svd
 from subsketch.losses import SmoothLoss
-from subsketch.numkit import SeededRng, thin_svd
+from subsketch.numkit import SeededRng
 from subsketch.solvers import SolveOptions, SolveResult, solve_sketched
 
 DEFAULT_PSD_TOLERANCE = 1e-10
@@ -70,20 +70,11 @@ def solve_sketched_kernel(K: np.ndarray, s_tilde: np.ndarray, loss: SmoothLoss, 
     s_tilde = np.asarray(s_tilde, dtype=float)
     K_h = kernel_root(K, psd_tolerance)
     S_k = K_h.T @ s_tilde
-    f = thin_svd(S_k)
-    if f.rank == 0:
-        raise DegenerateSketch("sketch lies in the null space of the Gram matrix")
-    if f.rank == S_k.shape[1]:
-        q = f.u @ f.vt
-    else:
-        q = f.u
+    f, q = _whiten_svd(S_k)
     res = solve_sketched(K_h @ q, loss, lam, opts)
-    beta = res.minimizer
-    V = f.vt.T
-    if f.rank == S_k.shape[1]:
-        alpha = V @ ((V.T @ beta) / f.singular_values)
-    else:
-        alpha = V @ (beta / f.singular_values)
+    # coordinates of q @ beta in the left singular basis, then S_k @ alpha = q @ beta
+    beta_u = f.vt @ res.minimizer if f.rank == S_k.shape[1] else res.minimizer
+    alpha = f.vt.T @ (beta_u / f.singular_values)
     return SolveResult(alpha, res.objective, res.grad_norm, res.iterations, res.converged)
 
 

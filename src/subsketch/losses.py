@@ -85,7 +85,6 @@ class SmoothLoss(_LossBase):
 
     smooth = True
     smoothness: float
-    strong_convexity: float = 0.0
 
     def gradient(self, w) -> np.ndarray:
         raise NotImplementedError
@@ -122,7 +121,6 @@ class QuadraticLoss(SmoothLoss):
         self.b = np.asarray(b, dtype=float)
         self.n = self.b.size
         self.smoothness = 1.0
-        self.strong_convexity = 1.0
 
     def value(self, w):
         w = _check_vector(w, self.n)
@@ -332,11 +330,6 @@ class LinfLoss(NonSmoothLoss):
         g = np.zeros(self.n)
         g[p.active[0]] = p.signs[0]
         return g
-
-
-def smoothness_constant(loss: SmoothLoss) -> float:
-    """Tight separable gradient-Lipschitz constant for a smooth loss."""
-    return loss.smoothness
 
 
 def make_loss(name: str, *, b=None, y=None) -> _LossBase:

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: thin SVD, spectral norms, projections, seeded sampling.
+"""Dense linear-algebra kernels: thin SVD, spectral norms, seeded sampling.
 
 Matrices are plain float64 numpy arrays in C (row-major) order.  All sampling
 goes through :class:`SeededRng`, a thin wrapper around numpy's counter-based
@@ -183,15 +183,6 @@ def sample_haar_frame(p: int, r: int, rng: SeededRng) -> np.ndarray:
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
-
-
-def project_onto_range(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Orthogonal projection ``Q @ (Q.T @ M)`` onto the column span of ``Q``."""
-    Q = np.asarray(Q, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if Q.shape[0] != M.shape[0]:
-        raise ValueError(f"row counts differ: projector {Q.shape[0]}, target {M.shape[0]}")
-    return Q @ (Q.T @ M)
 
 
 def save_matrix(path, M: np.ndarray) -> None:

@@ -1,7 +1,7 @@
 """Deterministic optimizers for the full, sketched and dual programs.
 
 Smooth programs are solved by damped Newton (Armijo backtracking, Cholesky on
-the positive-definite regularized Hessian) or plain gradient descent.  The
+the positive-definite regularized Hessian).  The
 non-smooth losses are handled entirely through their Fenchel duals, which are
 convex quadratics over a box, a signed simplex face, or the L1 ball, solved by
 fixed-step projected gradient with an optional exact solve on the identified
@@ -18,16 +18,10 @@ from scipy.linalg import cho_factor, cho_solve
 from subsketch.losses import NonSmoothLoss, SmoothLoss, SubgradientPartition
 from subsketch.numkit import spectral_norm
 
-NEWTON = "newton"
-GRADIENT_DESCENT = "gd"
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     grad_tolerance: float = 1e-10
     max_iters: int = 500
-    line_search: str = "armijo"  # "armijo" or "none"
-    method: str = NEWTON
 
     def __post_init__(self):
         if self.grad_tolerance <= 0:
@@ -102,44 +96,36 @@ def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
     g = B.T @ loss.gradient(w) + ridge_grad(x)
     g0 = max(1.0, float(np.linalg.norm(g)))
     BBt = B @ B.T if use_dual_space else None
-    if opts.method == GRADIENT_DESCENT:
-        lip = loss.smoothness * spectral_norm(B) ** 2 + lam * (
-            1.0 if G is None else spectral_norm(G)
-        )
     iterations = 0
     grad_norm = float(np.linalg.norm(g))
     for iterations in range(1, opts.max_iters + 1):
         if grad_norm <= opts.grad_tolerance * g0:
             return SolveResult(x, obj, grad_norm, iterations - 1, True)
-        if opts.method == NEWTON:
-            h = loss.hessian_diag(w)
-            if use_dual_space:
-                delta = _newton_step_dual_space(B, BBt, h, lam, g)
-            elif G is None:
-                delta = _newton_step_direct(B, h, lam, g)
-            else:
-                H = (B * h[:, None]).T @ B + lam * G
-                try:
-                    delta = -cho_solve(cho_factor(H), g)
-                except np.linalg.LinAlgError:
-                    delta = -np.linalg.lstsq(H, g, rcond=None)[0]
+        h = loss.hessian_diag(w)
+        if use_dual_space:
+            delta = _newton_step_dual_space(B, BBt, h, lam, g)
+        elif G is None:
+            delta = _newton_step_direct(B, h, lam, g)
         else:
-            delta = -g / lip
+            H = (B * h[:, None]).T @ B + lam * G
+            try:
+                delta = -cho_solve(cho_factor(H), g)
+            except np.linalg.LinAlgError:
+                delta = -np.linalg.lstsq(H, g, rcond=None)[0]
         slope = float(g @ delta)
         if slope >= 0:  # numerical breakdown; fall back to steepest descent
             delta = -g
             slope = -float(g @ g)
         Bd = B @ delta
         eta = 1.0
-        if opts.line_search == "armijo":
-            while eta > 1e-20:
-                x_try = x + eta * delta
-                obj_try = loss.value(w + eta * Bd) + ridge_val(x_try)
-                if obj_try <= obj + 1e-4 * eta * slope:
-                    break
-                if 1e-4 * eta * abs(slope) <= 4.0 * np.finfo(float).eps * max(1.0, abs(obj)):
-                    break  # predicted decrease below float resolution; take the step
-                eta *= 0.5
+        while eta > 1e-20:
+            x_try = x + eta * delta
+            obj_try = loss.value(w + eta * Bd) + ridge_val(x_try)
+            if obj_try <= obj + 1e-4 * eta * slope:
+                break
+            if 1e-4 * eta * abs(slope) <= 4.0 * np.finfo(float).eps * max(1.0, abs(obj)):
+                break  # predicted decrease below float resolution; take the step
+            eta *= 0.5
         x = x + eta * delta
         w = w + eta * Bd
         obj = loss.value(w) + ridge_val(x)
@@ -160,8 +146,7 @@ def solve_primal_reference(A, loss: SmoothLoss, lam: float,
         raise ValueError("lam must be positive")
     A = np.asarray(A, dtype=float)
     n, d = A.shape
-    use_dual_space = opts.method == NEWTON and d > int(1.5 * n)
-    return _minimize_smooth(A, loss, lam, opts, use_dual_space=use_dual_space)
+    return _minimize_smooth(A, loss, lam, opts, use_dual_space=d > int(1.5 * n))
 
 
 def solve_sketched(a_qs, loss: SmoothLoss, lam: float,

@@ -11,7 +11,6 @@ from subsketch.embeddings import (
     EmbeddingSpec,
     apply_srht,
     build_adaptive,
-    build_column_subsample,
     build_oblivious_gaussian,
     build_sketch,
     fwht_rows,
@@ -122,27 +121,32 @@ class TestAdaptive:
         assert np.allclose(S, A.T @ A @ (A.T @ s_tilde))
 
 
+def _column_selector(n, m, rng):
+    # with A = I the column-subsample embedding A.T @ S_tilde is the selector S_tilde
+    return build_adaptive(np.eye(n), EmbeddingSpec(COLUMN_SUBSAMPLE, m=m, seed=rng))
+
+
 class TestColumnSubsample:
     def test_full_size_is_permutation_selector(self):
-        S = build_column_subsample(4, 4, SeededRng(13))
+        S = _column_selector(4, 4, SeededRng(13))
         assert np.array_equal(np.sort(np.argmax(S, axis=0)), np.arange(4))
         assert S.sum() == 4
 
     def test_distinct_columns(self):
-        S = build_column_subsample(5, 2, SeededRng(14))
+        S = _column_selector(5, 2, SeededRng(14))
         cols = np.argmax(S, axis=0)
         assert cols[0] != cols[1]
 
     def test_uniform_frequency(self):
         counts = np.zeros(4)
         for i in range(10_000):
-            S = build_column_subsample(4, 1, SeededRng(15, i))
+            S = _column_selector(4, 1, SeededRng(15, i))
             counts[np.argmax(S[:, 0])] += 1
         assert np.abs(counts / 10_000 - 0.25).max() <= 0.015
 
     def test_rejects_oversample(self):
         with pytest.raises(ValueError):
-            build_column_subsample(3, 4, SeededRng(0))
+            _column_selector(3, 4, SeededRng(0))
 
 
 class TestWhiten:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import ridge_solution
+from subsketch import estimators
 from subsketch.embeddings import (
     ADAPTIVE_GAUSSIAN,
+    COLUMN_SUBSAMPLE,
     OBLIVIOUS_GAUSSIAN,
     EmbeddingSpec,
     build_sketch,
@@ -12,10 +14,8 @@ from subsketch.estimators import (
     PLAIN_DUAL,
     RESTRICTED_DUAL,
     first_order,
-    recover_adaptive,
     recover_iterative,
     recover_nonsmooth,
-    recover_nystrom,
     recover_oblivious_dagger,
     recover_whitened,
     zero_order,
@@ -84,7 +84,7 @@ class TestPointMaps:
 class TestAdaptiveRecovery:
     def test_exact_recovery_with_full_rank_sketch(self):
         A, loss = _instance(20, 40, seed=5)
-        rep = recover_adaptive(A, loss, 0.05,
+        rep = recover_whitened(A, loss, 0.05,
                                EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=25, seed=SeededRng(6)),
                                TIGHT)
         assert rep.residual_norm <= 1e-8
@@ -98,19 +98,13 @@ class TestAdaptiveRecovery:
         loss = make_loss("quadratic", b=b)
         lam = 0.2
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=6, seed=base.derive(2))
-        rep = recover_adaptive(A, loss, lam, spec, TIGHT)
+        rep = recover_whitened(A, loss, lam, spec, TIGHT)
         # independent composition: closed-form sketched ridge then the dual map
         sketch = build_sketch(A, spec)
         beta = ridge_solution(sketch.a_qs, b, lam)
         x1_oracle = -(A.T @ (sketch.a_qs @ beta - b)) / lam
         assert np.abs(rep.x1 - x1_oracle).max() <= 1e-8
         assert np.abs(rep.x0 - sketch.q_s @ beta).max() <= 1e-8
-
-    def test_rejects_oblivious_spec(self):
-        A, loss = _instance(10, 8, seed=8)
-        with pytest.raises(ValueError):
-            recover_adaptive(A, loss, 0.1,
-                             EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=4, seed=SeededRng(9)))
 
     def test_bound_certificate_when_condition_holds(self):
         # the first-order error never exceeds the certificate on smooth runs
@@ -161,7 +155,7 @@ class TestIterativeRecovery:
         A, loss = _instance(25, 35, seed=10)
         lam = 0.4
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=10, seed=SeededRng(11))
-        one = recover_adaptive(A, loss, lam, spec, TIGHT)
+        one = recover_whitened(A, loss, lam, spec, TIGHT)
         seq = recover_iterative(A, loss, lam, spec, T=1, opts=TIGHT)
         assert np.abs(seq[0].x1 - one.x1).max() <= 1e-12
 
@@ -176,7 +170,7 @@ class TestIterativeRecovery:
         A, loss = _instance(40, 60, seed=14)
         mu = loss.smoothness
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=16, seed=SeededRng(15))
-        probe = recover_adaptive(A, loss, 1.0, spec, TIGHT)
+        probe = recover_whitened(A, loss, 1.0, spec, TIGHT)
         lam = 4.0 * mu * probe.residual_norm**2  # comfortably certified
         seq = recover_iterative(A, loss, lam, spec, T=4, opts=TIGHT, error_floor=1e-13)
         errs = [r.rel_err_x1 for r in seq]
@@ -204,7 +198,8 @@ class TestObliviousDagger:
 class TestNystrom:
     def test_full_subsample_recovers(self):
         A, loss = _instance(18, 30, seed=20)
-        rep = recover_nystrom(A, loss, 0.05, 18, SeededRng(21), TIGHT)
+        spec = EmbeddingSpec(COLUMN_SUBSAMPLE, m=18, seed=SeededRng(21))
+        rep = recover_whitened(A, loss, 0.05, spec, TIGHT)
         assert rep.rel_err_x1 <= 1e-6
 
     def test_typically_behind_adaptive_gaussian(self):
@@ -219,8 +214,9 @@ class TestNystrom:
         nys = np.empty(seeds)
         ada = np.empty(seeds)
         for s in range(seeds):
-            nys[s] = recover_nystrom(A, loss, lam, m, base.derive(2, s), opts,
-                                     x_star=x_star, compute_residual=False).rel_err_x1
+            nys_spec = EmbeddingSpec(COLUMN_SUBSAMPLE, m=m, seed=base.derive(2, s))
+            nys[s] = recover_whitened(A, loss, lam, nys_spec, opts, x_star=x_star,
+                                      compute_residual=False).rel_err_x1
             spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=base.derive(3, s))
             ada[s] = recover_whitened(A, loss, lam, spec, opts, x_star=x_star,
                                       compute_residual=False).rel_err_x1
@@ -271,6 +267,23 @@ class TestNonsmoothRecovery:
         assert out.partition.n_free == 0
         assert out.report.iterations == 0
         assert np.array_equal(out.y_star, out.partition.fixed_values)
+
+    def test_reference_solve_uses_the_given_options(self, monkeypatch):
+        seen = []
+        reference = estimators.solve_nonsmooth_primal_reference
+
+        def spy(A, loss, lam, *rest):
+            seen.append(rest)
+            return reference(A, loss, lam, *rest)
+
+        monkeypatch.setattr(estimators, "solve_nonsmooth_primal_reference", spy)
+        base = SeededRng(26)
+        A, _ = synth_matrix(10, 15, SpectrumSpec(EXPONENTIAL, nu=0.5), base.derive(0))
+        loss = make_loss("l1", b=base.derive(1).generator().standard_normal(10))
+        opts = SolveOptions(grad_tolerance=1e-8, max_iters=5000)
+        spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(2))
+        recover_nonsmooth(A, loss, 1.0, spec, opts=opts)
+        assert seen == [(opts,)]
 
     def test_rejects_plain_oblivious_spec(self):
         A = np.eye(3)

@@ -54,6 +54,24 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             parse_config("sweep --n 10 --d 10 --m 32,16".split())
 
+    def test_dagger_only_for_recover_and_sweep(self):
+        assert parse_config("sweep --n 10 --d 10 --embedding oblivious-dagger".split())
+        with pytest.raises(SystemExit):
+            parse_config("iterative --n 10 --d 10 --embedding oblivious-dagger".split())
+
+    def test_nonsmooth_needs_nonsmooth_loss_and_adaptive_embedding(self):
+        assert parse_config("nonsmooth --n 10 --d 10 --loss hinge".split())
+        with pytest.raises(SystemExit):
+            parse_config("nonsmooth --n 10 --d 10 --loss logistic".split())
+        with pytest.raises(SystemExit):
+            parse_config("nonsmooth --n 10 --d 10 --loss l1 --embedding nystrom".split())
+
+    def test_smooth_experiments_reject_nonsmooth_loss(self):
+        assert parse_config("kernel --n 10 --d 10 --loss relu".split())
+        for experiment in ("recover", "sweep", "iterative", "kernel"):
+            with pytest.raises(SystemExit):
+                parse_config(f"{experiment} --n 10 --d 10 --loss l1".split())
+
     def test_certify_needs_no_instance(self):
         cfg = parse_config(["certify", "--suite", "conditioning"])
         assert cfg.suite == "conditioning"
@@ -204,6 +222,26 @@ class TestCli:
             f"--embedding adaptive-gaussian --m 4 --trials 1 --seed 3 --out {out}".split())
         assert code == 0
         assert out.exists()
+
+    def test_failed_cell_is_reported_not_written(self, tmp_path, monkeypatch, capsys):
+        run_cell = harness._run_cell
+
+        def failing(config, A, summary, loss, x_star, trial, m_idx, m):
+            if (trial, m) == (1, 4):
+                raise RuntimeError("injected failure")
+            return run_cell(config, A, summary, loss, x_star, trial, m_idx, m)
+
+        monkeypatch.setattr(harness, "_run_cell", failing)
+        out = tmp_path / "f.csv"
+        code = harness.main(
+            f"sweep --n 16 --d 24 --loss relu --lambda 0.01 --m 4,8 --trials 2 --seed 3 "
+            f"--out {out}".split())
+        assert code == 1
+        rows = read_records(out)
+        assert [(r.trial, r.m) for r in rows] == [(0, 4), (0, 8), (1, 8)]
+        summary = json.load(open(tmp_path / "f.summary.json"))
+        assert summary["failed"] == [
+            {"trial": 1, "m": 4, "error": "RuntimeError: injected failure"}]
 
     def test_certify_exit_status(self):
         assert harness.main(["certify", "--suite", "conditioning"]) == 0

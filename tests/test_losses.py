@@ -13,7 +13,6 @@ from subsketch.losses import (
     ReluTypeLoss,
     default_tie_tolerance,
     make_loss,
-    smoothness_constant,
 )
 from subsketch.numkit import SeededRng
 
@@ -67,9 +66,9 @@ class TestValuesAndGradients:
 
 class TestSmoothnessConstants:
     def test_values(self):
-        assert smoothness_constant(QuadraticLoss(np.zeros(3))) == 1.0
-        assert smoothness_constant(LogisticLoss(_labels(1000))) == pytest.approx(2.5e-4)
-        assert smoothness_constant(ReluTypeLoss(_labels(4))) == pytest.approx(0.25)
+        assert QuadraticLoss(np.zeros(3)).smoothness == 1.0
+        assert LogisticLoss(_labels(1000)).smoothness == pytest.approx(2.5e-4)
+        assert ReluTypeLoss(_labels(4)).smoothness == pytest.approx(0.25)
 
     @pytest.mark.parametrize("name", ["quadratic", "logistic", "relu"])
     def test_gradient_lipschitz_certificate(self, name):

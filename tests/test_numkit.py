@@ -9,7 +9,6 @@ from subsketch.numkit import (
     SeededRng,
     load_matrix,
     mix64,
-    project_onto_range,
     sample_gaussian_matrix,
     sample_haar_frame,
     save_matrix,
@@ -134,40 +133,6 @@ class TestSampling:
     def test_haar_rejects_tall_request(self):
         with pytest.raises(ValueError):
             sample_haar_frame(3, 4, SeededRng(0))
-
-
-class TestProjection:
-    def test_identity_projector(self):
-        M = SeededRng(1).generator().standard_normal((3, 2))
-        assert np.allclose(project_onto_range(np.eye(3), M), M)
-
-    def test_coordinate_projection(self):
-        e1 = np.array([[1.0], [0.0], [0.0]])
-        v = np.array([[1.0], [2.0], [3.0]])
-        assert np.allclose(project_onto_range(e1, v), [[1.0], [0.0], [0.0]])
-
-    def test_residual_orthogonality(self):
-        gen = SeededRng(2).generator()
-        Q, _ = np.linalg.qr(gen.standard_normal((8, 3)))
-        M = gen.standard_normal((8, 5))
-        resid = M - project_onto_range(Q, M)
-        assert np.abs(Q.T @ resid).max() <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project_onto_range(np.eye(3), np.ones((4, 2)))
-
-    @given(st.integers(0, 2**31 - 1))
-    def test_idempotent_and_self_adjoint(self, seed):
-        gen = SeededRng(seed).generator()
-        Q, _ = np.linalg.qr(gen.standard_normal((7, 3)))
-        x = gen.standard_normal(7)
-        y = gen.standard_normal(7)
-        Px = project_onto_range(Q, x[:, None])[:, 0]
-        PPx = project_onto_range(Q, Px[:, None])[:, 0]
-        Py = project_onto_range(Q, y[:, None])[:, 0]
-        assert np.abs(PPx - Px).max() <= 1e-12
-        assert abs(Px @ y - x @ Py) <= 1e-10
 
 
 class TestRngPlumbing:

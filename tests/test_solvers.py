@@ -90,13 +90,6 @@ class TestPrimalReference:
             kkt = np.linalg.norm(x + A.T @ loss.gradient(A @ x) / lam)
             assert kkt <= 10 * TIGHT.grad_tolerance * (1 + np.linalg.norm(x))
 
-    def test_gradient_descent_method(self):
-        A = np.diag([2.0, 1.0])
-        b = np.array([2.0, 1.0])
-        opts = SolveOptions(grad_tolerance=1e-10, max_iters=20_000, method="gd")
-        res = solve_primal_reference(A, make_loss("quadratic", b=b), 1.0, opts)
-        assert np.allclose(res.minimizer, [0.8, 0.5], atol=1e-8)
-
 
 class TestSketchedSolve:
     def test_full_sketch_recovers_reference(self):
