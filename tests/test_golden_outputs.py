@@ -29,6 +29,9 @@ CASES = {
     **{f"recover-{name}": dict(_BASE, experiment="recover", embedding=name)
        for name in sorted(EMBEDDING_NAMES)},
     "recover-adaptive-gaussian-q1-relu": dict(_BASE, experiment="recover", q=1, loss="relu"),
+    # d is a power of two, so the oblivious SRHT runs unpadded, up to m = d
+    "recover-srht-pow2": dict(_BASE, experiment="recover", embedding="srht", d=32,
+                              m_list=[4, 32]),
     "sweep-adaptive-srht-quadratic": dict(_BASE, experiment="sweep", embedding="adaptive-srht",
                                           loss="quadratic", decay="poly", nu=1.0),
     "sweep-oblivious-dagger-relu": dict(_BASE, experiment="sweep", embedding="oblivious-dagger",
