@@ -64,9 +64,10 @@ class Sketch:
     """An embedding together with its whitened basis and the sketched data.
 
     ``s`` is the raw embedding, ``q_s`` an orthonormal basis of its range
-    (the polar factor for full column rank), and ``a_qs = A @ q_s``.  When the
-    oblivious SRHT pads the feature dimension to a power of two, ``s`` and
-    ``q_s`` live in the padded dimension and ``a_qs`` uses the zero-padded data.
+    (the polar factor for full column rank), and ``a_qs = A @ q_s``.  The
+    oblivious SRHT (:func:`srht_matrix`) lives in the padded dimension
+    ``next_pow2(d)``, and so do its ``s`` and ``q_s``; ``a_qs`` uses the
+    zero-padded data, that is, only the first ``d`` rows of ``q_s``.
     """
 
     s: np.ndarray
@@ -89,28 +90,46 @@ def next_pow2(p: int) -> int:
     return 1 << (p - 1).bit_length()
 
 
-def fwht_rows(M: np.ndarray) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform applied to each row.
+def _fwht_inplace(X: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform of each column of a C-contiguous
+    ``X`` with a power-of-two row count, in place.  Stage h = 1, 2, 4, ... maps
+    each pair of rows ``h`` apart, ``(a, b)``, to ``(a + b, a - b)``, so every
+    operand is a contiguous run of whole rows; one scratch buffer serves all."""
+    n, w = X.shape
+    scratch = np.empty(n // 2 * w)
+    h = 1
+    while h < n:
+        pairs = X.reshape(-1, 2, h * w)
+        top, bot = pairs[:, 0, :], pairs[:, 1, :]
+        diff = scratch.reshape(top.shape)
+        np.subtract(top, bot, out=diff)
+        top += bot
+        bot[...] = diff
+        h *= 2
 
-    The number of columns must be a power of two; the transform matrix H
-    satisfies ``H.T @ H = I``.
-    """
-    M = np.array(M, dtype=float, copy=True, order="C")
+
+def fwht_rows(M: np.ndarray) -> np.ndarray:
+    """Orthonormal fast Walsh-Hadamard transform of each row.  The column count
+    must be a power of two; the transform matrix H satisfies ``H.T @ H = I``."""
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-D array")
     n = M.shape[1]
     if n & (n - 1):
         raise ValueError(f"column count {n} is not a power of two")
-    h = 1
-    while h < n:
-        M = M.reshape(M.shape[0], -1, 2, h)
-        top = M[:, :, 0, :] + M[:, :, 1, :]
-        bot = M[:, :, 0, :] - M[:, :, 1, :]
-        M[:, :, 0, :] = top
-        M[:, :, 1, :] = bot
-        M = M.reshape(M.shape[0], n)
-        h *= 2
-    return M / np.sqrt(n)
+    X = np.array(M.T, order="C")
+    _fwht_inplace(X)
+    return np.ascontiguousarray(X.T) / np.sqrt(n)
+
+
+def _srht_draw(pt: int, m: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """The signs of ``D``, then the ``m`` distinct coordinates ``R`` keeps, for an
+    SRHT on ``pt`` coordinates, from one generator."""
+    if m > pt:
+        raise ValueError(f"sketch size m={m} exceeds padded dimension {pt}")
+    gen = rng.generator()
+    signs = gen.integers(0, 2, size=pt) * 2.0 - 1.0
+    return signs, gen.choice(pt, size=m, replace=False)
 
 
 def apply_srht(M: np.ndarray, m: int, rng: SeededRng) -> np.ndarray:
@@ -120,24 +139,33 @@ def apply_srht(M: np.ndarray, m: int, rng: SeededRng) -> np.ndarray:
     ``M``'s columns are zero-padded to the next power of two ``p_tilde``; ``D``
     is a random sign flip, ``H`` the orthonormal Walsh-Hadamard transform and
     ``R`` selects ``m`` distinct columns uniformly without replacement.  The
-    implied embedding satisfies ``S.T @ S = (p_tilde / m) * I`` exactly.
+    implied embedding satisfies ``S.T @ S = (p_tilde / m) * I`` exactly.  Every
+    row of ``M`` is transformed and only the selected columns are scaled; the
+    adaptive SRHT draws its inner matrix ``A.T @ S_tilde`` this way.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p = M.shape[1]
     pt = next_pow2(p)
-    if m > pt:
-        raise ValueError(f"sketch size m={m} exceeds padded dimension {pt}")
-    gen = rng.generator()
-    signs = gen.integers(0, 2, size=pt) * 2.0 - 1.0
-    cols = gen.choice(pt, size=m, replace=False)
-    if pt > p:
-        Mp = np.zeros((M.shape[0], pt))
-        Mp[:, :p] = M
-    else:
-        Mp = M.copy()
-    Mp *= signs
-    T = fwht_rows(Mp)
-    return np.sqrt(pt / m) * T[:, cols]
+    signs, cols = _srht_draw(pt, m, rng)
+    T = np.zeros((pt, M.shape[0]))  # (M D).T, so the transform runs down its columns
+    T[:p] = M.T
+    T *= signs[:, None]
+    _fwht_inplace(T)
+    return np.sqrt(pt / m) * (T[cols].T / np.sqrt(pt))
+
+
+def srht_matrix(p: int, m: int, rng: SeededRng) -> np.ndarray:
+    """The ``p_tilde x m`` oblivious SRHT ``S`` that :func:`apply_srht` applies,
+    ``p_tilde = next_pow2(p)``.  ``H @ R`` is the transform of the ``m`` selected
+    unit vectors, so only those are transformed.  Hadamard entries are exactly
+    +-1 and sign flips are exact, so ``S`` equals
+    ``apply_srht(np.eye(p_tilde), m, rng)`` bit for bit."""
+    pt = next_pow2(p)
+    signs, cols = _srht_draw(pt, m, rng)
+    S = np.zeros((pt, m))
+    S[cols, np.arange(m)] = 1.0
+    _fwht_inplace(S)
+    return np.sqrt(pt / m) * (S / np.sqrt(pt) * signs[:, None])
 
 
 def build_oblivious_gaussian(d: int, spec: EmbeddingSpec) -> np.ndarray:
@@ -201,7 +229,7 @@ def build_sketch(A: np.ndarray, spec: EmbeddingSpec,
     if spec.kind == OBLIVIOUS_GAUSSIAN:
         S = build_oblivious_gaussian(d, spec)
     elif spec.kind == OBLIVIOUS_SRHT:
-        S = apply_srht(np.eye(next_pow2(d)), spec.m, spec.seed)
+        S = srht_matrix(d, spec.m, spec.seed)
     else:
         S = build_adaptive(A, spec)
     q_s = whiten(S, rank_tolerance)

@@ -28,6 +28,7 @@ from subsketch.embeddings import (
     OBLIVIOUS_GAUSSIAN,
     OBLIVIOUS_SRHT,
     EmbeddingSpec,
+    next_pow2,
 )
 from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS, make_loss
 from subsketch.numkit import SeededRng
@@ -174,6 +175,10 @@ def write_summary(path, records: list[RunRecord], failed: list[dict]) -> dict:
     return summary
 
 
+# experiments whose cells draw the configured embedding
+_DRAWS_EMBEDDING = ("recover", "sweep", "iterative", "nonsmooth", "conditioning", "risk")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -218,6 +223,15 @@ class ExperimentConfig:
         if self.experiment in ("recover", "sweep", "iterative", "kernel") and (
                 self.loss not in SMOOTH_KINDS):
             raise ValueError(f"{self.experiment} needs a smooth loss, not {self.loss!r}")
+        if self.experiment == "kernel" and (self.embedding != "adaptive-gaussian" or self.q != 0):
+            raise ValueError("kernel always sketches with a Gaussian S_tilde and q = 0; "
+                             "use the default --embedding adaptive-gaussian and --q 0")
+        cap = {"srht": next_pow2(self.d), "adaptive-srht": next_pow2(self.n),
+               "nystrom": self.n}.get(self.embedding)
+        m_max = max(self.m_list, default=0)
+        if cap is not None and self.experiment in _DRAWS_EMBEDDING and m_max > cap:
+            raise ValueError(f"sketch size m={m_max} exceeds {cap}, the largest "
+                             f"a {self.embedding!r} draw allows at n={self.n}, d={self.d}")
 
     def spectrum(self) -> synth.SpectrumSpec:
         if self.decay == synth.GEOMETRIC:

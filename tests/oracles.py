@@ -3,7 +3,10 @@
 Everything here deliberately takes a different computational route from the
 package code: one-sided Jacobi instead of LAPACK SVD, bisection instead of
 sort-and-threshold projections, accelerated gradient instead of Newton, nested
-grid search instead of any solver.
+grid search instead of any solver.  The SRHT oracles keep the row-wise
+Walsh-Hadamard loop that allocates fresh sums and differences at every stage,
+which the package replaced by an in-place transform down the columns; both
+apply the same butterflies, so they must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -110,3 +113,36 @@ def ridge_solution(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form minimizer of 0.5 ||A x - b||^2 + lam/2 ||x||^2."""
     d = A.shape[1]
     return np.linalg.solve(A.T @ A + lam * np.eye(d), A.T @ b)
+
+
+def allocating_fwht_rows(M: np.ndarray) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard transform of each row, one whole-matrix
+    stage at a time, with fresh arrays for the sums and differences."""
+    M = np.array(M, dtype=float, copy=True, order="C")
+    n = M.shape[1]
+    h = 1
+    while h < n:
+        M = M.reshape(M.shape[0], -1, 2, h)
+        top = M[:, :, 0, :] + M[:, :, 1, :]
+        bot = M[:, :, 0, :] - M[:, :, 1, :]
+        M[:, :, 0, :] = top
+        M[:, :, 1, :] = bot
+        M = M.reshape(M.shape[0], n)
+        h *= 2
+    return M / np.sqrt(n)
+
+
+def allocating_apply_srht(M: np.ndarray, m: int, rng) -> np.ndarray:
+    """``M @ S`` for the SRHT ``S = sqrt(p_tilde / m) * D @ H @ R``: signs, then
+    columns, from one generator; the padded, sign-flipped copy of ``M`` is
+    transformed in full by :func:`allocating_fwht_rows`."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    p = M.shape[1]
+    pt = 1 << (p - 1).bit_length()
+    gen = rng.generator()
+    signs = gen.integers(0, 2, size=pt) * 2.0 - 1.0
+    cols = gen.choice(pt, size=m, replace=False)
+    Mp = np.zeros((M.shape[0], pt))
+    Mp[:, :p] = M
+    Mp *= signs
+    return np.sqrt(pt / m) * allocating_fwht_rows(Mp)[:, cols]

@@ -16,10 +16,13 @@ from subsketch.embeddings import (
     fwht_rows,
     next_pow2,
     projection_residual_norm,
+    srht_matrix,
     whiten,
 )
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.synth import EXPONENTIAL, SpectrumSpec, synth_matrix
+
+from oracles import allocating_apply_srht, allocating_fwht_rows
 
 
 class TestSpecValidation:
@@ -62,6 +65,50 @@ class TestSrht:
 
     def test_next_pow2(self):
         assert [next_pow2(k) for k in (1, 2, 3, 5, 8)] == [1, 2, 4, 8, 8]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+class TestSrhtBitIdentity:
+    """The in-place transform and the m-row oblivious draw change no bit."""
+
+    @pytest.mark.parametrize("rows,width", [(1, 1), (1, 64), (37, 64), (37, 128), (50, 1024)])
+    def test_fwht_rows_matches_allocating_loop(self, rows, width):
+        M = SeededRng(40, rows * 4096 + width).generator().standard_normal((rows, width))
+        assert _same_bits(fwht_rows(M), allocating_fwht_rows(M))
+
+    @pytest.mark.parametrize("rows,p", [(1, 1), (3, 5), (37, 100), (37, 128), (50, 1000)])
+    def test_apply_srht_matches_allocating_loop(self, rows, p):
+        # p = 5, 100 and 1000 are zero-padded; the F-order layout of the result
+        # is kept too, since it decides how later products sum
+        M = SeededRng(41, rows * 4096 + p).generator().standard_normal((rows, p))
+        pt = next_pow2(p)
+        for m in sorted({1, min(7, pt), pt}):
+            for seed in (0, 1, 2):
+                assert _same_bits(apply_srht(M, m, SeededRng(seed)),
+                                  allocating_apply_srht(M, m, SeededRng(seed)))
+        # a transposed view, as the adaptive SRHT passes A.T
+        assert _same_bits(apply_srht(M.T, 1, SeededRng(3)),
+                          allocating_apply_srht(M.T, 1, SeededRng(3)))
+
+    @pytest.mark.parametrize("p", [8, 36, 200, 1024, 2000])
+    def test_srht_matrix_is_the_transformed_identity(self, p):
+        pt = next_pow2(p)
+        for m in sorted({1, 7, pt}):
+            for seed in (0, 1, 2):
+                S = srht_matrix(p, m, SeededRng(seed))
+                T = apply_srht(np.eye(pt), m, SeededRng(seed))
+                assert np.array_equal(S, T)
+                # bit for bit: equal values could still differ in the sign of zero
+                assert S.tobytes() == np.ascontiguousarray(T).tobytes()
+
+    def test_srht_matrix_sketch_size_cap(self):
+        with pytest.raises(ValueError):
+            srht_matrix(3, 5, SeededRng(0))
+        with pytest.raises(ValueError):
+            srht_matrix(1024, 1025, SeededRng(0))
 
 
 class TestObliviousGaussian:

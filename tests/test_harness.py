@@ -72,6 +72,36 @@ class TestParseConfig:
             with pytest.raises(SystemExit):
                 parse_config(f"{experiment} --n 10 --d 10 --loss l1".split())
 
+    def test_kernel_sketches_only_with_adaptive_gaussian(self):
+        # the kernel cell always draws a Gaussian S_tilde with q = 0
+        assert parse_config("kernel --n 10 --d 10 --embedding adaptive-gaussian --q 0".split())
+        for flags in ("--embedding srht --q 2", "--embedding srht", "--embedding nystrom",
+                      "--embedding oblivious-dagger", "--q 1"):
+            with pytest.raises(SystemExit):
+                parse_config(f"kernel --n 10 --d 10 {flags}".split())
+
+    def test_srht_size_capped_by_padded_feature_dimension(self):
+        assert parse_config("recover --n 16 --d 24 --embedding srht --m 4,32".split())
+        for experiment in ("recover", "sweep", "iterative", "conditioning"):
+            with pytest.raises(SystemExit):
+                parse_config(f"{experiment} --n 16 --d 24 --embedding srht --m 4,33".split())
+        # certify draws no embedding from these flags
+        assert parse_config("certify --n 16 --d 24 --embedding srht --m 64".split())
+
+    def test_adaptive_srht_size_capped_by_padded_sample_count(self):
+        assert parse_config(
+            "nonsmooth --n 12 --d 64 --loss l1 --embedding adaptive-srht --m 16".split())
+        for argv in ("nonsmooth --n 12 --d 64 --loss l1 --embedding adaptive-srht --m 8,17",
+                     "recover --n 12 --d 64 --embedding adaptive-srht --m 17"):
+            with pytest.raises(SystemExit):
+                parse_config(argv.split())
+
+    def test_nystrom_size_capped_by_sample_count(self):
+        assert parse_config("sweep --n 16 --d 64 --embedding nystrom --m 16".split())
+        for experiment in ("sweep", "risk"):
+            with pytest.raises(SystemExit):
+                parse_config(f"{experiment} --n 16 --d 64 --embedding nystrom --m 17".split())
+
     def test_certify_needs_no_instance(self):
         cfg = parse_config(["certify", "--suite", "conditioning"])
         assert cfg.suite == "conditioning"
