@@ -90,15 +90,15 @@ def condition_numbers(A: np.ndarray, q_s: np.ndarray, lam: float) -> tuple[float
 
 
 def risk_zero_order(A: np.ndarray, spec: EmbeddingSpec, noise_var: float, lam: float,
-                    trials: int, rng: SeededRng,
-                    n_random_directions: int = 5) -> tuple[float, float]:
+                    trials: int, rng: SeededRng) -> tuple[float, float]:
     """Monte-Carlo estimation risk of the linear reconstruction under Gaussian
     observation noise, against its small-regularization analytic limit.
 
     One embedding is drawn from ``spec``.  The supremum over unit-norm planted
-    vectors is approximated by the top right singular directions plus random
-    unit vectors; the analytic limit is ``noise_var * m / n`` plus the squared
-    residual of projecting the columns of A onto the range of the sketched data.
+    vectors is approximated by the top three right singular directions plus
+    five random unit vectors; the analytic limit is ``noise_var * m / n`` plus
+    the squared residual of projecting the columns of A onto the range of the
+    sketched data.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -111,7 +111,7 @@ def risk_zero_order(A: np.ndarray, spec: EmbeddingSpec, noise_var: float, lam: f
     f = thin_svd(A)
     directions = [f.vt[j] for j in range(min(3, f.rank))]
     gen = rng.generator()
-    for _ in range(n_random_directions):
+    for _ in range(5):
         v = gen.standard_normal(d)
         directions.append(v / np.linalg.norm(v))
 
@@ -147,16 +147,14 @@ def sketched_range_residual(A: np.ndarray, spec: EmbeddingSpec) -> float:
     return spectral_norm(A - basis @ (basis.T @ A), tol=1e-10)
 
 
-def aligned_error_floor(sigma1: float, d: int, m: int, lam: float,
-                        gamma: float = 1.0) -> float:
+def aligned_error_floor(sigma1: float, d: int, m: int, lam: float) -> float:
     """Worst-case mean-squared relative error floor for the dual-map estimator
-    with an oblivious Gaussian embedding: (1 - m/d)^3 sigma1^4 / (sigma1^2 + 2 lam / gamma)^2."""
+    with an oblivious Gaussian embedding: (1 - m/d)^3 sigma1^4 / (sigma1^2 + 2 lam)^2."""
     frac = max(0.0, 1.0 - m / d)
-    return frac**3 * sigma1**4 / (sigma1**2 + 2.0 * lam / gamma) ** 2
+    return frac**3 * sigma1**4 / (sigma1**2 + 2.0 * lam) ** 2
 
 
-def aligned_instance_check(A: np.ndarray, lam: float, m: int, trials: int,
-                           rng: SeededRng, gamma: float = 1.0):
+def aligned_instance_check(A: np.ndarray, lam: float, m: int, trials: int, rng: SeededRng):
     """Monte-Carlo check that the aligned quadratic instance meets the oblivious
     error floor.
 
@@ -183,7 +181,7 @@ def aligned_instance_check(A: np.ndarray, lam: float, m: int, trials: int,
         sq_errors[tr] = rep.rel_err_x1**2
     mc = float(sq_errors.mean())
     se = float(sq_errors.std(ddof=1) / np.sqrt(trials))
-    floor = aligned_error_floor(float(f.singular_values[0]), d, m, lam, gamma)
+    floor = aligned_error_floor(float(f.singular_values[0]), d, m, lam)
     return mc >= floor - 3.0 * se, mc, floor, se
 
 

@@ -30,7 +30,6 @@ from subsketch.embeddings import (
     whiten,
 )
 from subsketch.estimators import (
-    RESTRICTED_DUAL,
     first_order,
     recover_iterative,
     recover_nonsmooth,
@@ -38,7 +37,6 @@ from subsketch.estimators import (
     recover_whitened,
     zero_order,
 )
-from subsketch.losses import make_loss
 from subsketch.numkit import SeededRng
 from subsketch.solvers import (
     SolveOptions,
@@ -59,13 +57,8 @@ class CertResult:
     detail: str
 
 
-def _smooth_losses(n, d, A, base: SeededRng):
-    y = synth.synth_labels(n, base.derive(0xB))
-    gen = base.derive(0xC).generator()
-    x_pl = gen.standard_normal(d)
-    x_pl /= np.linalg.norm(x_pl)
-    b = synth.synth_observation(A, x_pl, 1.0, base.derive(0xD))
-    return [make_loss("quadratic", b=b), make_loss("logistic", y=y), make_loss("relu", y=y)]
+def _smooth_losses(A, base: SeededRng):
+    return [synth.synth_loss(name, A, base) for name in ("quadratic", "logistic", "relu")]
 
 
 def _certificate_lambda(mu: float, r_k: float) -> float:
@@ -82,7 +75,7 @@ def smooth_recovery_certificate(n=200, d=400, nu=0.2, ks=(8, 16, 32), seeds=20,
     opts = SolveOptions(grad_tolerance=1e-12, max_iters=200)
     worst = -np.inf
     checked = failures = 0
-    for li, loss in enumerate(_smooth_losses(n, d, A, base)):
+    for li, loss in enumerate(_smooth_losses(A, base)):
         for k in ks:
             r_k = analysis.spectral_residual(summary, k)
             lam = _certificate_lambda(loss.smoothness, r_k)
@@ -163,7 +156,7 @@ def iterative_contraction(n=200, d=400, nu=0.2, ks=(8, 16, 32), T=5, seeds=10,
     A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
                                     base.derive(0xA))
     opts = SolveOptions(grad_tolerance=1e-12, max_iters=200)
-    losses = _smooth_losses(n, d, A, base)
+    losses = _smooth_losses(A, base)
     ratio_viol = cum_viol = runs = 0
     worst_ratio = 0.0
     for li, loss in enumerate(losses):
@@ -229,7 +222,7 @@ def whitened_equivalence(instances=10, n=40, d=25, m=10, lam=1e-2, tol=1e-6,
     for i in range(instances):
         gen = base.derive(7, i).generator()
         A = gen.standard_normal((n, d)) / np.sqrt(n)
-        loss = _smooth_losses(n, d, A, base.derive(8, i))[i % 3]
+        loss = _smooth_losses(A, base.derive(8, i))[i % 3]
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=base.derive(9, i))
         S = build_adaptive(A, spec)
         q_s = whiten(S)
@@ -256,7 +249,7 @@ def oblivious_zero_order_floor(n=60, d=200, ms=(20, 50, 100), seeds=500, lam=0.1
     base = SeededRng(seed)
     A, _ = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
                               base.derive(0xA))
-    loss = _smooth_losses(n, d, A, base)[0]
+    loss = _smooth_losses(A, base)[0]
     opts = SolveOptions(grad_tolerance=1e-10, max_iters=100)
     x_star = solve_primal_reference(A, loss, lam, opts).minimizer
     details = []
@@ -303,9 +296,8 @@ def sweep_ordering_and_slopes(n=1000, d=2000, lam=1e-4, trials=10,
         ("poly", synth.SpectrumSpec(synth.POLYNOMIAL, nu=1.0)),
     )):
         A, _ = synth.synth_matrix(n, d, spectrum, base.derive(0xA, di))
-        y = synth.synth_labels(n, base.derive(0xB))
         for loss_name in ("logistic", "relu"):
-            loss = make_loss(loss_name, y=y)
+            loss = synth.synth_loss(loss_name, A, base)
             x_star = solve_primal_reference(A, loss, lam, opts).minimizer
             mean_adapt, mean_obliv = [], []
             for mi, m in enumerate(ms):
@@ -339,21 +331,15 @@ def nonsmooth_bound_and_ordering(n=1000, d=2000, lam=1e-2, ratio=0.98, trials=20
                                  ms=(32, 64, 128, 256, 512), seed=0) -> CertResult:
     """Non-smooth recovery: the dual-map error must satisfy the sqrt(6) (L/lam)
     residual bound on every run, beat the arbitrary-subgradient estimator on
-    average at every m above 64, and both dual routes must agree."""
+    average at every m above 64, and the restricted dual must reach the plain
+    dual's objective."""
     base = SeededRng(seed)
     A, _ = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.GEOMETRIC, ratio=ratio),
                               base.derive(0xA))
     dual_opts = SolveOptions(grad_tolerance=1e-9, max_iters=300_000)
     failures = []
     for loss_name in ("l1", "linf", "hinge"):
-        if loss_name == "hinge":
-            loss = make_loss("hinge", b=synth.synth_labels(n, base.derive(0xB)))
-        else:
-            gen = base.derive(0xC).generator()
-            x_pl = gen.standard_normal(d)
-            x_pl /= np.linalg.norm(x_pl)
-            b = synth.synth_observation(A, x_pl, 1.0, base.derive(0xD))
-            loss = make_loss(loss_name, b=b)
+        loss = synth.synth_loss(loss_name, A, base)
         x_star, z_res = solve_nonsmooth_primal_reference(A, loss, lam, dual_opts)
         x_norm = np.linalg.norm(x_star)
         for mi, m in enumerate(ms):
@@ -361,8 +347,7 @@ def nonsmooth_bound_and_ordering(n=1000, d=2000, lam=1e-2, ratio=0.98, trials=20
             err_arb = np.empty(trials)
             for t in range(trials):
                 spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=base.derive(13, mi, t))
-                out = recover_nonsmooth(A, loss, lam, spec, route=RESTRICTED_DUAL,
-                                        opts=dual_opts, x_star=x_star,
+                out = recover_nonsmooth(A, loss, lam, spec, dual_opts, x_star=x_star,
                                         warm_start=z_res.minimizer)
                 rep = out.report
                 err_main[t] = rep.rel_err_x1
@@ -371,7 +356,7 @@ def nonsmooth_bound_and_ordering(n=1000, d=2000, lam=1e-2, ratio=0.98, trials=20
                 if abs_err > rep.bound_rhs:
                     failures.append(f"{loss_name} m={m} t={t}: error {abs_err:.3e} "
                                     f"exceeds bound {rep.bound_rhs:.3e}")
-                gap = abs(out.dual_objective - out.dual_objective_plain)
+                gap = abs(rep.objective - out.dual_objective_plain)
                 if gap > 1e-6 * max(1.0, abs(out.dual_objective_plain)):
                     failures.append(f"{loss_name} m={m} t={t}: route objectives differ by {gap:.2e}")
             if m >= 64 and err_main.mean() > err_arb.mean():
@@ -392,7 +377,7 @@ def kernel_feature_consistency(instances=10, n=30, d=20, m=8, lam=1e-2,
     for i in range(instances):
         gen = base.derive(14, i).generator()
         A = gen.standard_normal((n, d)) / np.sqrt(n)
-        loss = _smooth_losses(n, d, A, base.derive(15, i))[i % 3]
+        loss = _smooth_losses(A, base.derive(15, i))[i % 3]
         s_tilde = base.derive(16, i).generator().normal(0.0, 1.0 / np.sqrt(m), (n, m))
         # feature route
         S = A.T @ s_tilde

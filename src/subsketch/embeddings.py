@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from subsketch.numkit import (
-    DEFAULT_RANK_TOLERANCE,
-    SeededRng,
-    sample_gaussian_matrix,
-    spectral_norm,
-    thin_svd,
-)
+from subsketch.numkit import SeededRng, sample_gaussian_matrix, spectral_norm, thin_svd
 
 OBLIVIOUS_GAUSSIAN = "oblivious-gaussian"
 OBLIVIOUS_SRHT = "oblivious-srht"
@@ -79,10 +73,6 @@ class Sketch:
     def rank(self) -> int:
         return self.q_s.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.q_s.shape[0]
-
 
 def next_pow2(p: int) -> int:
     if p < 1:
@@ -106,20 +96,6 @@ def _fwht_inplace(X: np.ndarray) -> None:
         top += bot
         bot[...] = diff
         h *= 2
-
-
-def fwht_rows(M: np.ndarray) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform of each row.  The column count
-    must be a power of two; the transform matrix H satisfies ``H.T @ H = I``."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    n = M.shape[1]
-    if n & (n - 1):
-        raise ValueError(f"column count {n} is not a power of two")
-    X = np.array(M.T, order="C")
-    _fwht_inplace(X)
-    return np.ascontiguousarray(X.T) / np.sqrt(n)
 
 
 def _srht_draw(pt: int, m: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
@@ -203,25 +179,24 @@ def build_adaptive(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     return S
 
 
-def _whiten_svd(S: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
+def _whiten_svd(S: np.ndarray):
     """The thin SVD of S and the orthonormal basis :func:`whiten` returns."""
-    f = thin_svd(S, rank_tolerance)
+    f = thin_svd(S)
     if f.rank == 0:
         raise DegenerateSketch("embedding has rank zero; nothing to whiten")
     return f, (f.u @ f.vt if f.rank == S.shape[1] else f.u)
 
 
-def whiten(S: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
+def whiten(S: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(S): the polar factor ``U_S @ V_S.T`` when S has
     full column rank, the left factor ``U_S`` otherwise.
 
     Raises :class:`DegenerateSketch` for a rank-zero embedding.
     """
-    return _whiten_svd(S, rank_tolerance)[1]
+    return _whiten_svd(S)[1]
 
 
-def build_sketch(A: np.ndarray, spec: EmbeddingSpec,
-                 rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> Sketch:
+def build_sketch(A: np.ndarray, spec: EmbeddingSpec) -> Sketch:
     """Draw the embedding described by ``spec`` for data ``A``, whiten it and
     form the sketched data ``A @ q_s``."""
     A = np.asarray(A, dtype=float)
@@ -232,21 +207,21 @@ def build_sketch(A: np.ndarray, spec: EmbeddingSpec,
         S = srht_matrix(d, spec.m, spec.seed)
     else:
         S = build_adaptive(A, spec)
-    q_s = whiten(S, rank_tolerance)
+    q_s = whiten(S)
     a_qs = A @ q_s[:d, :]
     return Sketch(s=S, q_s=q_s, a_qs=a_qs, spec=spec)
 
 
-def projection_residual_norm(A: np.ndarray, q_s: np.ndarray, tol: float = 1e-9) -> float:
-    """Operator norm of ``(I - q_s q_s.T) A.T``: how much of the row space of A
-    escapes the embedding's range.  An empty basis returns ``||A.T||_2``."""
-    At = np.asarray(A, dtype=float).T
-    if q_s.shape[1] == 0:
-        return spectral_norm(At, tol=tol)
-    if q_s.shape[0] < At.shape[0]:
-        raise ValueError("basis and data dimensions are incompatible")
-    if q_s.shape[0] > At.shape[0]:
-        # padded oblivious SRHT basis: compare against zero-padded rows
-        At = np.vstack([At, np.zeros((q_s.shape[0] - At.shape[0], At.shape[1]))])
-    R = At - q_s @ (q_s.T @ At)
-    return spectral_norm(R, tol=tol)
+def projection_residual_norm(A: np.ndarray, q_s: np.ndarray) -> float:
+    """Operator norm of ``(I - q_s q_s.T) A.T``, by power iteration to relative
+    1e-9: how much of the row space of A escapes the embedding's range.  An
+    empty basis returns ``||A.T||_2``."""
+    R = np.asarray(A, dtype=float).T
+    if q_s.shape[1]:
+        if q_s.shape[0] < R.shape[0]:
+            raise ValueError("basis and data dimensions are incompatible")
+        if q_s.shape[0] > R.shape[0]:
+            # padded oblivious SRHT basis: compare against zero-padded rows
+            R = np.vstack([R, np.zeros((q_s.shape[0] - R.shape[0], R.shape[1]))])
+        R = R - q_s @ (q_s.T @ R)
+    return spectral_norm(R, tol=1e-9)

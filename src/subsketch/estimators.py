@@ -26,6 +26,7 @@ from subsketch.embeddings import (
 from subsketch.losses import NonSmoothLoss, SmoothLoss, SubgradientPartition
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import (
+    DUAL_OPTIONS,
     BoxSet,
     SolveOptions,
     SolveResult,
@@ -36,10 +37,6 @@ from subsketch.solvers import (
     solve_sketched,
     solve_sketched_shifted,
 )
-
-PLAIN_DUAL = "plain"
-RESTRICTED_DUAL = "restricted"
-
 
 @dataclass
 class RecoveryReport:
@@ -67,14 +64,13 @@ class RecoveryReport:
 
 @dataclass
 class NonsmoothRecovery:
-    """Recovery report plus the dual solution and route diagnostics."""
+    """Recovery report plus the dual solution, the objective of the plain
+    (unrestricted) dual and the arbitrary-subgradient error."""
 
     report: RecoveryReport
     y_star: np.ndarray
-    dual_objective: float
     dual_objective_plain: float
     partition: SubgradientPartition
-    x_arbitrary: np.ndarray
     rel_err_arbitrary: float
 
 
@@ -127,6 +123,33 @@ def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
     return x_star
 
 
+def _report(loss, lam, opts, rng: SeededRng, route, x_star, residual, certified,
+            res: SolveResult, alpha, x0, x1, runtime_ms, t=0) -> RecoveryReport:
+    """The report of one recovery: the errors of ``x0`` and ``x1`` against
+    ``x_star`` and, when ``certified``, the bound for the measured ``residual``.
+    A smooth loss is bounded by sqrt(mu/2 lam) * residual * min(1, rel_err_x0)
+    under the condition lam >= 2 mu residual^2; a non-smooth one
+    unconditionally by ||x1 - x*|| <= sqrt(6) (L/lam) * residual."""
+    x_star_norm = float(np.linalg.norm(x_star))
+    rel0 = _rel_err(x0, x_star, x_star_norm)
+    rel1 = _rel_err(x1, x_star, x_star_norm)
+    if not certified:
+        bound, cond_ok = np.nan, False
+    elif loss.smooth:
+        mu = loss.smoothness
+        bound = np.sqrt(mu / (2.0 * lam)) * residual * min(1.0, rel0)
+        cond_ok = bool(lam >= 2.0 * mu * residual**2)
+    else:
+        bound, cond_ok = np.sqrt(6.0) * loss.lipschitz / lam * residual, True
+    return RecoveryReport(
+        alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
+        residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
+        runtime_ms=runtime_ms, seed=rng.seed, stream_id=rng.stream_id, route=route,
+        provenance=reference_provenance(loss, lam, opts), x_star_norm=x_star_norm,
+        objective=res.objective, iterations=res.iterations, converged=res.converged, t=t,
+    )
+
+
 def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, route,
                    rng: SeededRng, opts, x_star, t0, T=None, error_floor=0.0):
     """The smooth recovery loop in the coordinates ``q_s`` (``a_qs = A @ q_s``).
@@ -140,9 +163,6 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
     """
     dim = q_s.shape[0]
     x_star = _pad(_ensure_reference(A, loss, lam, opts, x_star), dim)
-    x_star_norm = float(np.linalg.norm(x_star))
-    mu = loss.smoothness
-    cond_ok = certified and bool(lam >= 2.0 * mu * residual**2)
     reports: list[RecoveryReport] = []
     x_hat = None
     for t in range(1, (T or 1) + 1):
@@ -156,20 +176,11 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
             v = x_hat + zero_order(q_s, res.minimizer)
             inner = a_qs @ res.minimizer + image
         x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, dim)
-        rel0 = _rel_err(v, x_star, x_star_norm)
-        rel1 = _rel_err(x_hat, x_star, x_star_norm)
-        bound = np.sqrt(mu / (2.0 * lam)) * residual * min(1.0, rel0) if certified else np.nan
         t1 = time.perf_counter()
-        reports.append(RecoveryReport(
-            alpha=res.minimizer, x0=v, x1=x_hat, rel_err_x0=rel0, rel_err_x1=rel1,
-            residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
-            runtime_ms=(t1 - t0) * 1e3, seed=rng.seed, stream_id=rng.stream_id,
-            route=route, provenance=reference_provenance(loss, lam, opts),
-            x_star_norm=x_star_norm, objective=res.objective,
-            iterations=res.iterations, converged=res.converged, t=t if T else 0,
-        ))
+        reports.append(_report(loss, lam, opts, rng, route, x_star, residual, certified, res,
+                               res.minimizer, v, x_hat, (t1 - t0) * 1e3, t if T else 0))
         t0 = t1
-        if not res.converged or rel1 < error_floor:
+        if not res.converged or reports[-1].rel_err_x1 < error_floor:
             break
     return reports
 
@@ -200,7 +211,6 @@ def recover_whitened(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
 
 def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: int,
                       opts: SolveOptions = SolveOptions(), x_star=None,
-                      compute_residual: bool = True,
                       error_floor: float = 1e-12) -> list[RecoveryReport]:
     """Iterative refinement reusing a single sketch.
 
@@ -211,92 +221,63 @@ def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: i
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    return _sketch_rounds(A, loss, lam, spec, opts, x_star, compute_residual,
+    return _sketch_rounds(A, loss, lam, spec, opts, x_star, True,
                           f"iterative-{spec.kind}", T, error_floor)
 
 
 def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, m: int, rng: SeededRng,
-                             opts: SolveOptions = SolveOptions(), x_star=None,
-                             compute_residual: bool = False) -> RecoveryReport:
+                             opts: SolveOptions = SolveOptions(),
+                             x_star=None) -> RecoveryReport:
     """Unbiased oblivious baseline: plain Gaussian Q with the isotropic
-    regularizer and no whitening.  Reports no bound."""
+    regularizer and no whitening.  Reports no residual and no bound."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     Q = sample_gaussian_matrix(A.shape[1], m, 1.0 / m, rng)
-    residual = (projection_residual_norm(A, np.linalg.qr(Q)[0]) if compute_residual
-                else float("nan"))
-    return _smooth_rounds(A, loss, lam, Q, A @ Q, residual, False, "oblivious-dagger", rng,
+    return _smooth_rounds(A, loss, lam, Q, A @ Q, float("nan"), False, "oblivious-dagger", rng,
                           opts, x_star, t0)[0]
 
 
 def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
-                      route: str = RESTRICTED_DUAL,
-                      opts: SolveOptions = SolveOptions(grad_tolerance=1e-9, max_iters=200_000),
-                      x_star=None, warm_start=None,
-                      tie_tolerance: float | None = None,
-                      compute_residual: bool = True) -> NonsmoothRecovery:
-    """Recovery for a non-smooth loss through the sketched dual program.
+                      opts: SolveOptions = DUAL_OPTIONS, x_star=None,
+                      warm_start=None) -> NonsmoothRecovery:
+    """Recovery for a non-smooth loss through the restricted sketched dual.
 
-    The plain route minimizes f*(y) + (1/2 lam)||Q.T A.T y||^2 over the whole
-    conjugate domain.  The restricted route re-solves the same objective over
-    the subdifferential of f at the sketched primal point, which pins every
+    The plain dual f*(y) + (1/2 lam)||Q.T A.T y||^2 over the whole conjugate
+    domain gives the sketched primal point.  The same objective is then
+    re-solved over the subdifferential of f at that point, which pins every
     coordinate where f is differentiable and resolves the set-valued dual map.
-    Returns the recovery report plus the dual solution and both objectives.
+    Returns the recovery report plus the dual solution and the plain objective.
     """
-    if route not in (PLAIN_DUAL, RESTRICTED_DUAL):
-        raise ValueError(f"route must be {PLAIN_DUAL!r} or {RESTRICTED_DUAL!r}")
     if spec.kind not in ADAPTIVE_KINDS:
         raise ValueError("non-smooth recovery expects an adaptive embedding")
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     sketch = build_sketch(A, spec)
+    residual = projection_residual_norm(A, sketch.q_s)
     x_star = _ensure_reference(A, loss, lam, opts, x_star)
-    x_star_norm = float(np.linalg.norm(x_star))
 
     B = sketch.a_qs.T
-    feas = conjugate_feasible_set(loss)
-    plain = solve_dual_projected(loss, B, loss.b, lam, feas, opts, y0=warm_start)
+    plain = solve_dual_projected(loss, B, loss.b, lam, conjugate_feasible_set(loss), opts,
+                                 y0=warm_start)
     alpha = -(B @ plain.minimizer) / lam
     w = sketch.a_qs @ alpha
-    partition = loss.subgradient_partition(w, tie_tolerance)
-
-    if route == RESTRICTED_DUAL:
-        feas_r = conjugate_feasible_set(loss, partition)
-        if isinstance(feas_r, BoxSet) and np.all(feas_r.lows == feas_r.highs):
-            # subdifferential is a single point: the dual is fully determined
-            y = feas_r.lows.copy()
-            By = B @ y
-            dual_obj = float(y @ loss.b) + float(By @ By) / (2.0 * lam)
-            res = SolveResult(y, dual_obj, 0.0, 0, True)
-        else:
-            res = solve_dual_projected(loss, B, loss.b, lam, feas_r, opts,
-                                       y0=feas_r.project(plain.minimizer))
+    partition = loss.subgradient_partition(w)
+    feas = conjugate_feasible_set(loss, partition)
+    if isinstance(feas, BoxSet) and np.all(feas.lows == feas.highs):
+        # subdifferential is a single point: the dual is fully determined
+        y = feas.lows.copy()
+        By = B @ y
+        res = SolveResult(y, float(y @ loss.b) + float(By @ By) / (2.0 * lam), 0.0, 0, True)
     else:
-        res = plain
+        res = solve_dual_projected(loss, B, loss.b, lam, feas, opts,
+                                   y0=feas.project(plain.minimizer))
 
-    y_star = res.minimizer
-    x1 = -(A.T @ y_star) / lam
-    x0 = zero_order(sketch.q_s, alpha)
-    g_arb = loss.arbitrary_subgradient(w)
-    x_arb = -(A.T @ g_arb) / lam
-
-    residual = projection_residual_norm(A, sketch.q_s) if compute_residual else float("nan")
-    rel0 = _rel_err(x0, x_star, x_star_norm)
-    rel1 = _rel_err(x1, x_star, x_star_norm)
-    rel_arb = _rel_err(x_arb, x_star, x_star_norm)
-    # unconditional non-smooth certificate: ||x1 - x*|| <= sqrt(6) (L/lam) residual
-    bound = np.sqrt(6.0) * loss.lipschitz / lam * residual if compute_residual else float("nan")
-    report = RecoveryReport(
-        alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
-        residual_norm=residual, bound_rhs=float(bound), condition_ok=True,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        seed=spec.seed.seed, stream_id=spec.seed.stream_id,
-        route=f"nonsmooth-{route}", provenance=reference_provenance(loss, lam, opts),
-        x_star_norm=x_star_norm, objective=res.objective,
-        iterations=res.iterations, converged=res.converged,
-    )
+    x1 = -(A.T @ res.minimizer) / lam
+    x_arb = -(A.T @ loss.arbitrary_subgradient(w)) / lam
+    report = _report(loss, lam, opts, spec.seed, "nonsmooth-restricted", x_star, residual, True,
+                     res, alpha, zero_order(sketch.q_s, alpha), x1,
+                     (time.perf_counter() - t0) * 1e3)
     return NonsmoothRecovery(
-        report=report, y_star=y_star, dual_objective=res.objective,
-        dual_objective_plain=plain.objective, partition=partition,
-        x_arbitrary=x_arb, rel_err_arbitrary=rel_arb,
+        report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
+        partition=partition, rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),
     )

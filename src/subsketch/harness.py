@@ -30,7 +30,7 @@ from subsketch.embeddings import (
     EmbeddingSpec,
     next_pow2,
 )
-from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS, make_loss
+from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS
 from subsketch.numkit import SeededRng
 from subsketch.solvers import SolveOptions
 
@@ -241,10 +241,13 @@ class ExperimentConfig:
         return synth.SpectrumSpec(kind=self.decay, nu=self.nu)
 
     def solve_options(self) -> SolveOptions:
+        """The configured tolerance and iteration cap; a non-smooth loss is
+        solved through its dual, with a tolerance of at least 1e-9 and at
+        least 200,000 iterations."""
+        if self.loss in NONSMOOTH_KINDS:
+            return SolveOptions(grad_tolerance=max(self.tol, 1e-9),
+                                max_iters=max(self.max_iters, 200_000))
         return SolveOptions(grad_tolerance=self.tol, max_iters=self.max_iters)
-
-    def dual_options(self) -> SolveOptions:
-        return SolveOptions(grad_tolerance=max(self.tol, 1e-9), max_iters=max(self.max_iters, 200_000))
 
 
 _CONFIG_KEYS = {
@@ -325,24 +328,11 @@ def parse_config(argv=None) -> ExperimentConfig:
 
 
 def build_instance(config: ExperimentConfig):
-    """Deterministic instance for a config: data matrix, spectrum, loss, and
-    reference solution.
-
-    Targets follow a fixed recipe: sign labels for logistic/relu/hinge, a noisy
-    observation of a random unit planted vector for quadratic/l1/linf.
-    """
+    """Deterministic instance for a config: data matrix, spectrum and loss, with
+    the targets of :func:`synth.synth_loss`."""
     base = SeededRng(config.seed)
     A, summary = synth.synth_matrix(config.n, config.d, config.spectrum(), base.derive(0xA))
-    if config.loss in ("logistic", "relu", "hinge"):
-        y = synth.synth_labels(config.n, base.derive(0xB))
-        loss = make_loss(config.loss, b=y, y=y)
-    else:
-        gen = base.derive(0xC).generator()
-        x_pl = gen.standard_normal(config.d)
-        x_pl /= np.linalg.norm(x_pl)
-        b = synth.synth_observation(A, x_pl, config.noise_var, base.derive(0xD))
-        loss = make_loss(config.loss, b=b)
-    return A, summary, loss
+    return A, summary, synth.synth_loss(config.loss, A, base, config.noise_var)
 
 
 def _record_base(config: ExperimentConfig, trial: int, m: int | None, summary) -> RunRecord:
@@ -395,9 +385,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
             records.append(_fill_from_report(_record_base(config, trial, m, summary), rep))
     elif config.experiment == "nonsmooth":
         spec = _embedding_spec(config, m, rng)
-        out = estimators.recover_nonsmooth(A, loss, config.lam, spec,
-                                           route=estimators.RESTRICTED_DUAL,
-                                           opts=config.dual_options(), x_star=x_star)
+        out = estimators.recover_nonsmooth(A, loss, config.lam, spec, opts, x_star=x_star)
         records.append(_fill_from_report(_record_base(config, trial, m, summary), out.report))
         arb = _record_base(config, trial, m, summary)
         arb.embedding = "arbitrary-subgradient"
@@ -415,7 +403,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         rec.kappa, rec.kappa_dagger = kappa, kappa_dag
         records.append(rec)
     elif config.experiment == "kernel":
-        records.append(_kernel_cell(config, A, summary, loss, trial, m, rng))
+        records.append(_kernel_cell(config, A, summary, loss, trial, m, rng, opts))
     elif config.experiment == "risk":
         spec = _embedding_spec(config, m, rng)
         mc, limit = analysis.risk_zero_order(A, spec, config.noise_var, config.lam,
@@ -429,17 +417,17 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     return records
 
 
-def _kernel_cell(config, A, summary, loss, trial, m, rng):
+def _kernel_cell(config, A, summary, loss, trial, m, rng, opts):
     from subsketch import kernelize
     from subsketch.numkit import sample_gaussian_matrix
 
     K = kernelize.gram_from_features(A)
     s_tilde = sample_gaussian_matrix(config.n, m, 1.0 / m, rng)
-    res = kernelize.solve_sketched_kernel(K, s_tilde, loss, config.lam, config.solve_options())
+    res = kernelize.solve_sketched_kernel(K, s_tilde, loss, config.lam, opts)
     w1 = kernelize.kernel_first_order(K, s_tilde, res.minimizer, loss, config.lam)
     w0 = kernelize.kernel_zero_order(s_tilde, res.minimizer)
     w_star = kernelize.solve_sketched_kernel(K, np.eye(config.n), loss, config.lam,
-                                             config.solve_options()).minimizer
+                                             opts).minimizer
     denom = kernelize.rkhs_distance(K, w_star, np.zeros(config.n))
     rec = _record_base(config, trial, m, summary)
     rec.rel_err_x0 = kernelize.rkhs_distance(K, w0, w_star) / denom
@@ -457,8 +445,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     A, summary, loss = build_instance(config)
     x_star = None
     if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
-        opts = config.solve_options() if loss.smooth else config.dual_options()
-        x_star = estimators._ensure_reference(A, loss, config.lam, opts)
+        x_star = estimators._ensure_reference(A, loss, config.lam, config.solve_options())
 
     cells = [(trial, m_idx, m)
              for trial in range(config.trials)

@@ -16,7 +16,8 @@ from subsketch.losses import SmoothLoss
 from subsketch.numkit import SeededRng
 from subsketch.solvers import SolveOptions, SolveResult, solve_sketched
 
-DEFAULT_PSD_TOLERANCE = 1e-10
+# eigenvalues of K below this fraction of the largest count as zero
+PSD_TOLERANCE = 1e-10
 
 
 def gram_from_features(A: np.ndarray) -> np.ndarray:
@@ -40,7 +41,7 @@ def gram_gaussian_kernel(X: np.ndarray, gamma: float) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def kernel_root(K: np.ndarray, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> np.ndarray:
+def kernel_root(K: np.ndarray) -> np.ndarray:
     """A square root ``K_h`` with ``K_h @ K_h.T = K``, via symmetric
     eigendecomposition with eigenvalues clamped at zero."""
     K = np.asarray(K, dtype=float)
@@ -48,15 +49,14 @@ def kernel_root(K: np.ndarray, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> 
     top = float(evals[-1]) if evals.size else 0.0
     if top <= 0.0:
         raise ValueError("Gram matrix has no positive eigenvalue")
-    if float(evals[0]) < -psd_tolerance * top:
+    if float(evals[0]) < -PSD_TOLERANCE * top:
         raise ValueError("Gram matrix is not positive semidefinite within tolerance")
-    keep = evals > psd_tolerance * top
+    keep = evals > PSD_TOLERANCE * top
     return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def solve_sketched_kernel(K: np.ndarray, s_tilde: np.ndarray, loss: SmoothLoss, lam: float,
-                          opts: SolveOptions = SolveOptions(),
-                          psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> SolveResult:
+                          opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Minimize f(K s_tilde a) + lam/2 * a.T s_tilde.T K s_tilde a.
 
     Solved in the whitened factor space: with ``K = K_h K_h.T`` the program is
@@ -68,7 +68,7 @@ def solve_sketched_kernel(K: np.ndarray, s_tilde: np.ndarray, loss: SmoothLoss, 
     if lam <= 0:
         raise ValueError("lam must be positive")
     s_tilde = np.asarray(s_tilde, dtype=float)
-    K_h = kernel_root(K, psd_tolerance)
+    K_h = kernel_root(K)
     S_k = K_h.T @ s_tilde
     f, q = _whiten_svd(S_k)
     res = solve_sketched(K_h @ q, loss, lam, opts)

@@ -60,7 +60,6 @@ class SubgradientPartition:
     fixed_values: np.ndarray
     free_low: np.ndarray
     free_high: np.ndarray
-    tie_tolerance: float
     active: np.ndarray | None = None
     signs: np.ndarray | None = None
 
@@ -98,7 +97,6 @@ class NonSmoothLoss(_LossBase):
 
     smooth = False
     lipschitz: float
-    conjugate_domain: str  # "box" or "scaled-simplex"
 
     def conjugate_value(self, z, tol: float | None = None) -> float:
         raise NotImplementedError
@@ -204,7 +202,6 @@ class L1Loss(NonSmoothLoss):
     """f(w) = ||w - b||_1; conjugate domain is the unit sup-norm box."""
 
     kind = L1
-    conjugate_domain = "box"
 
     def __init__(self, b):
         self.b = np.asarray(b, dtype=float)
@@ -232,7 +229,6 @@ class L1Loss(NonSmoothLoss):
             fixed_values=np.where(fixed, np.sign(r), 0.0),
             free_low=np.where(fixed, 0.0, -1.0),
             free_high=np.where(fixed, 0.0, 1.0),
-            tie_tolerance=tol,
         )
 
     def arbitrary_subgradient(self, w):
@@ -244,7 +240,6 @@ class HingeLoss(NonSmoothLoss):
     """f(w) = sum_i max(0, 1 - w_i b_i) with labels b in {+/-1}^n."""
 
     kind = HINGE
-    conjugate_domain = "box"
 
     def __init__(self, b):
         self.b = _check_signs(b)
@@ -277,7 +272,6 @@ class HingeLoss(NonSmoothLoss):
             fixed_values=np.where(fixed, values, 0.0),
             free_low=np.where(fixed, 0.0, lo_iv),
             free_high=np.where(fixed, 0.0, hi_iv),
-            tie_tolerance=tol,
         )
 
     def arbitrary_subgradient(self, w):
@@ -290,7 +284,6 @@ class LinfLoss(NonSmoothLoss):
     """f(w) = ||w - b||_inf; conjugate domain is the unit L1-ball."""
 
     kind = LINF
-    conjugate_domain = "scaled-simplex"
 
     def __init__(self, b):
         self.b = np.asarray(b, dtype=float)
@@ -320,7 +313,6 @@ class LinfLoss(NonSmoothLoss):
             fixed_values=np.zeros(self.n),
             free_low=np.zeros(self.n),
             free_high=np.zeros(self.n),
-            tie_tolerance=tol,
             active=active,
             signs=np.sign(r[active]),
         )

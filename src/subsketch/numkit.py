@@ -65,7 +65,6 @@ class ThinSvd:
     u: np.ndarray
     singular_values: np.ndarray
     vt: np.ndarray
-    rank_tolerance: float
 
     @property
     def rank(self) -> int:
@@ -113,29 +112,21 @@ def thin_svd(M: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> T
         u=np.ascontiguousarray(u[:, :r]),
         singular_values=s[:r].copy(),
         vt=np.ascontiguousarray(vt[:r, :]),
-        rank_tolerance=rank_tolerance,
     )
 
 
-def spectral_norm(
-    M: np.ndarray,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
-    rng: SeededRng | None = None,
-) -> float:
+def spectral_norm(M: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
     """Largest singular value of ``M`` by power iteration on ``M.T @ M``.
 
     Stops once successive Rayleigh quotients agree to relative ``tol``.  The
-    start vector is drawn from ``rng`` (a fixed default stream when omitted).
+    start vector comes from one fixed stream, so the estimate is deterministic.
     """
     M = _check_finite(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if min(M.shape) == 0:
         return 0.0
-    if rng is None:
-        rng = SeededRng(0x5EED, 0)
-    gen = rng.generator()
+    gen = SeededRng(0x5EED, 0).generator()
     # iterate on the smaller Gram side
     work = M if M.shape[1] <= M.shape[0] else M.T
     v = gen.standard_normal(work.shape[1])

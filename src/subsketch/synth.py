@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subsketch.analysis import SpectralSummary
+from subsketch.losses import HINGE, LOGISTIC, RELU, make_loss
 from subsketch.numkit import SeededRng, sample_haar_frame
 
 POLYNOMIAL = "poly"
@@ -92,3 +93,18 @@ def synth_observation(A: np.ndarray, x_pl: np.ndarray, noise_var: float,
     n = A.shape[0]
     w = rng.generator().normal(0.0, np.sqrt(noise_var / n), size=n)
     return A @ x_pl + w
+
+
+def synth_loss(name: str, A: np.ndarray, base: SeededRng, noise_var: float = 1.0):
+    """The loss ``name`` on the fixed synthetic targets of data ``A`` under ``base``.
+
+    Logistic, relu and hinge get sign labels from stream ``0xB``; quadratic, l1
+    and linf a noisy observation (noise from stream ``0xD``) of a random unit
+    planted vector (stream ``0xC``).
+    """
+    if name in (LOGISTIC, RELU, HINGE):
+        y = synth_labels(A.shape[0], base.derive(0xB))
+        return make_loss(name, b=y, y=y)
+    x_pl = base.derive(0xC).generator().standard_normal(A.shape[1])
+    x_pl /= np.linalg.norm(x_pl)
+    return make_loss(name, b=synth_observation(A, x_pl, noise_var, base.derive(0xD)))

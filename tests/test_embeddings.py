@@ -9,11 +9,11 @@ from subsketch.embeddings import (
     OBLIVIOUS_GAUSSIAN,
     DegenerateSketch,
     EmbeddingSpec,
+    _fwht_inplace,
     apply_srht,
     build_adaptive,
     build_oblivious_gaussian,
     build_sketch,
-    fwht_rows,
     next_pow2,
     projection_residual_norm,
     srht_matrix,
@@ -39,6 +39,14 @@ class TestSpecValidation:
             EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=0)
 
 
+def _fwht_rows(M):
+    """Orthonormal Walsh-Hadamard transform of each row of M through the
+    in-place column kernel."""
+    X = np.array(M.T, order="C")
+    _fwht_inplace(X)
+    return np.ascontiguousarray(X.T) / np.sqrt(M.shape[1])
+
+
 class TestSrht:
     def test_orthogonality_property(self):
         # materialize the implied embedding by transforming the identity
@@ -53,10 +61,10 @@ class TestSrht:
     def test_first_basis_row_transform(self):
         e1 = np.zeros((1, 4))
         e1[0, 0] = 1.0
-        assert np.allclose(fwht_rows(e1), 0.5 * np.ones((1, 4)))
+        assert np.allclose(_fwht_rows(e1), 0.5 * np.ones((1, 4)))
 
     def test_transform_is_orthonormal(self):
-        H = fwht_rows(np.eye(8))
+        H = _fwht_rows(np.eye(8))
         assert np.abs(H.T @ H - np.eye(8)).max() <= 1e-12
 
     def test_sketch_size_cap(self):
@@ -77,7 +85,7 @@ class TestSrhtBitIdentity:
     @pytest.mark.parametrize("rows,width", [(1, 1), (1, 64), (37, 64), (37, 128), (50, 1024)])
     def test_fwht_rows_matches_allocating_loop(self, rows, width):
         M = SeededRng(40, rows * 4096 + width).generator().standard_normal((rows, width))
-        assert _same_bits(fwht_rows(M), allocating_fwht_rows(M))
+        assert _same_bits(_fwht_rows(M), allocating_fwht_rows(M))
 
     @pytest.mark.parametrize("rows,p", [(1, 1), (3, 5), (37, 100), (37, 128), (50, 1000)])
     def test_apply_srht_matches_allocating_loop(self, rows, p):

@@ -11,8 +11,6 @@ from subsketch.embeddings import (
     build_sketch,
 )
 from subsketch.estimators import (
-    PLAIN_DUAL,
-    RESTRICTED_DUAL,
     first_order,
     recover_iterative,
     recover_nonsmooth,
@@ -21,7 +19,7 @@ from subsketch.estimators import (
     zero_order,
 )
 from subsketch.losses import make_loss
-from subsketch.numkit import SeededRng
+from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import SolveOptions, solve_nonsmooth_primal_reference, solve_primal_reference
 from subsketch.synth import EXPONENTIAL, GEOMETRIC, SpectrumSpec, synth_labels, synth_matrix
 
@@ -189,9 +187,10 @@ class TestObliviousDagger:
 
     def test_zero_order_stays_in_sketch_range(self):
         A, loss = _instance(15, 30, seed=18)
-        rep = recover_oblivious_dagger(A, loss, 0.1, 6, SeededRng(19), TIGHT,
-                                       compute_residual=True)
-        assert np.isfinite(rep.residual_norm)
+        rep = recover_oblivious_dagger(A, loss, 0.1, 6, SeededRng(19), TIGHT)
+        Q = sample_gaussian_matrix(30, 6, 1.0 / 6, SeededRng(19))
+        assert np.array_equal(rep.x0, Q @ rep.alpha)
+        assert np.isnan(rep.residual_norm) and np.isnan(rep.bound_rhs)
         assert rep.route == "oblivious-dagger"
 
 
@@ -235,13 +234,10 @@ class TestNonsmoothRecovery:
         lam = 0.05
         x_star, zres = solve_nonsmooth_primal_reference(A, loss, lam)
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=20, seed=base.derive(2))
-        restricted = recover_nonsmooth(A, loss, lam, spec, route=RESTRICTED_DUAL,
-                                       x_star=x_star, warm_start=zres.minimizer)
-        assert abs(restricted.dual_objective - restricted.dual_objective_plain) <= 1e-6 * max(
+        restricted = recover_nonsmooth(A, loss, lam, spec, x_star=x_star,
+                                       warm_start=zres.minimizer)
+        assert abs(restricted.report.objective - restricted.dual_objective_plain) <= 1e-6 * max(
             1.0, abs(restricted.dual_objective_plain))
-        plain = recover_nonsmooth(A, loss, lam, spec, route=PLAIN_DUAL, x_star=x_star)
-        assert abs(plain.dual_objective - restricted.dual_objective) <= 1e-6 * max(
-            1.0, abs(plain.dual_objective))
 
     def test_nonsmooth_error_bound(self):
         base = SeededRng(23)
@@ -252,7 +248,7 @@ class TestNonsmoothRecovery:
         x_star, _ = solve_nonsmooth_primal_reference(A, loss, lam)
         for m in (8, 16):
             spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=base.derive(2, m))
-            out = recover_nonsmooth(A, loss, lam, spec, route=RESTRICTED_DUAL, x_star=x_star)
+            out = recover_nonsmooth(A, loss, lam, spec, x_star=x_star)
             abs_err = out.report.rel_err_x1 * out.report.x_star_norm
             assert abs_err <= out.report.bound_rhs
 
@@ -263,7 +259,7 @@ class TestNonsmoothRecovery:
         b = 100.0 + np.arange(10.0)
         loss = make_loss("l1", b=b)
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(1))
-        out = recover_nonsmooth(A, loss, 1.0, spec, route=RESTRICTED_DUAL)
+        out = recover_nonsmooth(A, loss, 1.0, spec)
         assert out.partition.n_free == 0
         assert out.report.iterations == 0
         assert np.array_equal(out.y_star, out.partition.fixed_values)

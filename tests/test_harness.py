@@ -102,6 +102,13 @@ class TestParseConfig:
             with pytest.raises(SystemExit):
                 parse_config(f"{experiment} --n 16 --d 64 --embedding nystrom --m 17".split())
 
+    def test_nonsmooth_loss_gets_dual_solve_options(self):
+        opts = parse_config("nonsmooth --n 10 --d 10 --loss l1".split()).solve_options()
+        assert opts.max_iters == 200_000
+        assert opts.grad_tolerance == 1e-9
+        opts = parse_config("recover --n 10 --d 10".split()).solve_options()
+        assert (opts.grad_tolerance, opts.max_iters) == (1e-10, 500)
+
     def test_certify_needs_no_instance(self):
         cfg = parse_config(["certify", "--suite", "conditioning"])
         assert cfg.suite == "conditioning"

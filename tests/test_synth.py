@@ -9,6 +9,7 @@ from subsketch.synth import (
     POLYNOMIAL,
     SpectrumSpec,
     synth_labels,
+    synth_loss,
     synth_matrix,
     synth_observation,
 )
@@ -88,6 +89,25 @@ class TestLabels:
 
     def test_reproducible(self):
         assert np.array_equal(synth_labels(50, SeededRng(8)), synth_labels(50, SeededRng(8)))
+
+
+class TestSynthLoss:
+    def test_targets_come_from_fixed_streams(self):
+        # labels from 0xB, planted vector from 0xC, observation noise from 0xD
+        base = SeededRng(14)
+        A, _ = synth_matrix(12, 7, SpectrumSpec(EXPONENTIAL, nu=0.3), base.derive(0xA))
+        labels = synth_labels(12, base.derive(0xB))
+        for name in ("logistic", "relu"):
+            assert np.array_equal(synth_loss(name, A, base).y, labels)
+        assert np.array_equal(synth_loss("hinge", A, base).b, labels)
+        x_pl = base.derive(0xC).generator().standard_normal(7)
+        x_pl /= np.linalg.norm(x_pl)
+        for noise_var in (1.0, 0.5):
+            b = synth_observation(A, x_pl, noise_var, base.derive(0xD))
+            for name in ("quadratic", "l1", "linf"):
+                loss = synth_loss(name, A, base, noise_var)
+                assert loss.kind == name
+                assert np.array_equal(loss.b, b)
 
 
 class TestObservation:
