@@ -54,7 +54,6 @@ class RecoveryReport:
     seed: int
     stream_id: int = 0
     route: str = "adaptive"
-    provenance: str = ""
     x_star_norm: float = float("nan")
     objective: float = float("nan")
     iterations: int = 0
@@ -109,10 +108,6 @@ def _pad(vec, dim):
     return out
 
 
-def reference_provenance(loss, lam: float, opts: SolveOptions) -> str:
-    return f"{loss.kind}:lam={lam:.12g}:tol={opts.grad_tolerance:g}:it={opts.max_iters}"
-
-
 def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
     """``x_star`` as an array, or the full-dimensional reference solve with ``opts``."""
     if x_star is not None:
@@ -123,7 +118,7 @@ def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
     return x_star
 
 
-def _report(loss, lam, opts, rng: SeededRng, route, x_star, residual, certified,
+def _report(loss, lam, rng: SeededRng, route, x_star, residual, certified,
             res: SolveResult, alpha, x0, x1, runtime_ms, t=0) -> RecoveryReport:
     """The report of one recovery: the errors of ``x0`` and ``x1`` against
     ``x_star`` and, when ``certified``, the bound for the measured ``residual``.
@@ -145,8 +140,8 @@ def _report(loss, lam, opts, rng: SeededRng, route, x_star, residual, certified,
         alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
         residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
         runtime_ms=runtime_ms, seed=rng.seed, stream_id=rng.stream_id, route=route,
-        provenance=reference_provenance(loss, lam, opts), x_star_norm=x_star_norm,
-        objective=res.objective, iterations=res.iterations, converged=res.converged, t=t,
+        x_star_norm=x_star_norm, objective=res.objective, iterations=res.iterations,
+        converged=res.converged, t=t,
     )
 
 
@@ -177,7 +172,7 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
             inner = a_qs @ res.minimizer + image
         x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, dim)
         t1 = time.perf_counter()
-        reports.append(_report(loss, lam, opts, rng, route, x_star, residual, certified, res,
+        reports.append(_report(loss, lam, rng, route, x_star, residual, certified, res,
                                res.minimizer, v, x_hat, (t1 - t0) * 1e3, t if T else 0))
         t0 = t1
         if not res.converged or reports[-1].rel_err_x1 < error_floor:
@@ -257,7 +252,7 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     x_star = _ensure_reference(A, loss, lam, opts, x_star)
 
     B = sketch.a_qs.T
-    plain = solve_dual_projected(loss, B, loss.b, lam, conjugate_feasible_set(loss), opts,
+    plain = solve_dual_projected(B, loss.b, lam, conjugate_feasible_set(loss), opts,
                                  y0=warm_start)
     alpha = -(B @ plain.minimizer) / lam
     w = sketch.a_qs @ alpha
@@ -269,12 +264,12 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
         By = B @ y
         res = SolveResult(y, float(y @ loss.b) + float(By @ By) / (2.0 * lam), 0.0, 0, True)
     else:
-        res = solve_dual_projected(loss, B, loss.b, lam, feas, opts,
+        res = solve_dual_projected(B, loss.b, lam, feas, opts,
                                    y0=feas.project(plain.minimizer))
 
     x1 = -(A.T @ res.minimizer) / lam
     x_arb = -(A.T @ loss.arbitrary_subgradient(w)) / lam
-    report = _report(loss, lam, opts, spec.seed, "nonsmooth-restricted", x_star, residual, True,
+    report = _report(loss, lam, spec.seed, "nonsmooth-restricted", x_star, residual, True,
                      res, alpha, zero_order(sketch.q_s, alpha), x1,
                      (time.perf_counter() - t0) * 1e3)
     return NonsmoothRecovery(

@@ -16,11 +16,11 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from subsketch import analysis, certify as certify_suites, estimators, synth
+from subsketch import analysis, certify as certify_suites, estimators, kernelize, synth
 from subsketch.embeddings import (
     ADAPTIVE_GAUSSIAN,
     ADAPTIVE_SRHT,
@@ -28,10 +28,11 @@ from subsketch.embeddings import (
     OBLIVIOUS_GAUSSIAN,
     OBLIVIOUS_SRHT,
     EmbeddingSpec,
+    build_sketch,
     next_pow2,
 )
 from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS
-from subsketch.numkit import SeededRng
+from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import SolveOptions
 
 log = logging.getLogger("subsketch")
@@ -48,17 +49,10 @@ EMBEDDING_NAMES = {
     "oblivious-dagger": "oblivious-dagger",
 }
 
-CSV_COLUMNS = [
-    "experiment", "trial", "seed", "n", "d", "decay", "nu", "loss", "lambda",
-    "embedding", "q", "m", "T", "rel_err_x0", "rel_err_x1", "residual_norm",
-    "spectral_residual_k", "bound_rhs", "condition_ok", "kappa", "kappa_dagger",
-    "objective", "runtime_ms",
-]
-
-
 @dataclass
 class RunRecord:
-    """One CSV row of an experiment run; unused fields stay None."""
+    """One CSV row of an experiment run; unused fields stay None.  The fields,
+    in order, are the CSV columns (``lam`` is written as ``lambda``)."""
 
     experiment: str
     trial: int
@@ -85,13 +79,9 @@ class RunRecord:
     runtime_ms: float | None = None
 
     def to_row(self) -> list[str]:
-        vals = [self.experiment, self.trial, self.seed, self.n, self.d, self.decay,
-                self.nu, self.loss, self.lam, self.embedding, self.q, self.m, self.T,
-                self.rel_err_x0, self.rel_err_x1, self.residual_norm,
-                self.spectral_residual_k, self.bound_rhs, self.condition_ok,
-                self.kappa, self.kappa_dagger, self.objective, self.runtime_ms]
         out = []
-        for v in vals:
+        for fld in fields(self):
+            v = getattr(self, fld.name)
             if v is None:
                 out.append("")
             elif isinstance(v, bool):
@@ -103,20 +93,16 @@ class RunRecord:
         return out
 
 
-def _parse_cell(name, text):
-    if text == "":
-        return None
-    if name in ("trial", "seed", "n", "d", "q", "m", "T"):
-        return int(text)
-    if name == "condition_ok":
-        return text == "1"
-    if name in ("experiment", "decay", "loss", "embedding"):
-        return text
-    return float(text)
+CSV_COLUMNS = ["lambda" if fld.name == "lam" else fld.name for fld in fields(RunRecord)]
+
+# the parser of a CSV cell by its field's declared type; an empty cell is None
+_CELL_TYPES = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
 
 
 def read_records(path) -> list[RunRecord]:
     """Parse a CSV written by :func:`write_records` back into records."""
+    parsers = [(fld.name, _CELL_TYPES[fld.type.removesuffix(" | None")])
+               for fld in fields(RunRecord)]
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != CSV_COLUMNS:
@@ -124,11 +110,8 @@ def read_records(path) -> list[RunRecord]:
         records = []
         for line in fh:
             cells = line.rstrip("\n").split(",")
-            kv = {
-                ("lam" if name == "lambda" else name): _parse_cell(name, cell)
-                for name, cell in zip(CSV_COLUMNS, cells)
-            }
-            records.append(RunRecord(**kv))
+            records.append(RunRecord(**{name: None if cell == "" else parse(cell)
+                                        for (name, parse), cell in zip(parsers, cells)}))
     return records
 
 
@@ -250,77 +233,58 @@ class ExperimentConfig:
         return SolveOptions(grad_tolerance=self.tol, max_iters=self.max_iters)
 
 
-_CONFIG_KEYS = {
-    "experiment", "n", "d", "decay", "nu", "ratio", "loss", "lambda", "embedding",
-    "m", "q", "T", "trials", "seed", "tol", "max_iters", "noise_var", "out", "suite",
-}
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok]
 
 
 def _add_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--decay", type=str, default=None, choices=["poly", "exp", "geom"])
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--loss", type=str, default=None,
-                   choices=list(SMOOTH_KINDS + NONSMOOTH_KINDS))
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--embedding", type=str, default=None, choices=sorted(EMBEDDING_NAMES))
-    p.add_argument("--m", type=str, default=None, help="comma-separated sketch sizes")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--noise-var", dest="noise_var", type=float, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--suite", type=str, default=None, help="certificate suite name or 'all'")
+    p.add_argument("--config", help="JSON config file; flags override")
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--decay", choices=["poly", "exp", "geom"])
+    p.add_argument("--nu", type=float)
+    p.add_argument("--ratio", type=float)
+    p.add_argument("--loss", choices=list(SMOOTH_KINDS + NONSMOOTH_KINDS))
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--embedding", choices=sorted(EMBEDDING_NAMES))
+    p.add_argument("--m", dest="m_list", type=_int_list, help="comma-separated sketch sizes")
+    p.add_argument("--q", type=int)
+    p.add_argument("--T", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--noise-var", type=float)
+    p.add_argument("--out", dest="out_path")
+    p.add_argument("--suite", choices=["all", *certify_suites.SUITES])
 
 
 def parse_config(argv=None) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from CLI arguments plus an optional
-    JSON config file; explicit flags win over file keys."""
+    JSON config file.  Each file key is read as the flag of the same name (a
+    list comma-joined), placed before the explicit flags, which therefore win."""
     parser = argparse.ArgumentParser(
         prog="subsketch",
         description="randomized subspace optimization experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        _add_flags(sub.add_parser(name))
+        _add_flags(sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False))
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-
-    merged: dict = {}
-    if args.config:
+    if "config" in args:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - _CONFIG_KEYS
-        if unknown:
-            parser.error(f"unknown config key(s): {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in _CONFIG_KEYS - {"experiment"}:
-        flag_name = {"lambda": "lam", "out": "out"}.get(key, key)
-        flag_val = getattr(args, flag_name, None)
-        if flag_val is not None:
-            if key in merged and merged[key] != flag_val:
-                log.info("flag --%s=%r overrides config file value %r", key, flag_val, merged[key])
-            merged[key] = flag_val
-    if args.experiment != "certify":
-        missing = [k for k in ("n", "d") if k not in merged]
-        if missing:
-            parser.error(f"missing required argument(s): {', '.join('--' + k for k in missing)}")
-    kwargs = {"experiment": args.experiment}
-    rename = {"lambda": "lam", "out": "out_path", "m": "m_list"}
-    for key, val in merged.items():
-        if key == "experiment":
-            continue
-        if key == "m":
-            if isinstance(val, str):
-                val = [int(tok) for tok in val.split(",") if tok]
-            kwargs["m_list"] = list(val)
-        else:
-            kwargs[rename.get(key, key)] = val
+        file_cfg.pop("experiment", None)
+        file_flags = [
+            f"--{key.replace('_', '-')}="
+            + (",".join(map(str, val)) if isinstance(val, list) else str(val))
+            for key, val in file_cfg.items()]
+        args = parser.parse_args([argv[0], *file_flags, *argv[1:]])
+    kwargs = {key: val for key, val in vars(args).items() if key != "config"}
+    missing = [f"--{key}" for key in ("n", "d") if key not in kwargs]
+    if missing and args.experiment != "certify":
+        parser.error(f"missing required argument(s): {', '.join(missing)}")
     try:
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -394,8 +358,6 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         arb.runtime_ms = out.report.runtime_ms
         records.append(arb)
     elif config.experiment == "conditioning":
-        from subsketch.embeddings import build_sketch
-
         spec = _embedding_spec(config, m, rng)
         sketch = build_sketch(A, spec)
         kappa, kappa_dag = analysis.condition_numbers(A, sketch.q_s, config.lam)
@@ -403,7 +365,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         rec.kappa, rec.kappa_dagger = kappa, kappa_dag
         records.append(rec)
     elif config.experiment == "kernel":
-        records.append(_kernel_cell(config, A, summary, loss, trial, m, rng, opts))
+        records.append(_kernel_cell(config, A, summary, loss, x_star, trial, m, rng, opts))
     elif config.experiment == "risk":
         spec = _embedding_spec(config, m, rng)
         mc, limit = analysis.risk_zero_order(A, spec, config.noise_var, config.lam,
@@ -417,17 +379,12 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     return records
 
 
-def _kernel_cell(config, A, summary, loss, trial, m, rng, opts):
-    from subsketch import kernelize
-    from subsketch.numkit import sample_gaussian_matrix
-
+def _kernel_cell(config, A, summary, loss, w_star, trial, m, rng, opts):
     K = kernelize.gram_from_features(A)
     s_tilde = sample_gaussian_matrix(config.n, m, 1.0 / m, rng)
     res = kernelize.solve_sketched_kernel(K, s_tilde, loss, config.lam, opts)
     w1 = kernelize.kernel_first_order(K, s_tilde, res.minimizer, loss, config.lam)
     w0 = kernelize.kernel_zero_order(s_tilde, res.minimizer)
-    w_star = kernelize.solve_sketched_kernel(K, np.eye(config.n), loss, config.lam,
-                                             opts).minimizer
     denom = kernelize.rkhs_distance(K, w_star, np.zeros(config.n))
     rec = _record_base(config, trial, m, summary)
     rec.rel_err_x0 = kernelize.rkhs_distance(K, w0, w_star) / denom
@@ -446,6 +403,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     x_star = None
     if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
         x_star = estimators._ensure_reference(A, loss, config.lam, config.solve_options())
+    elif config.experiment == "kernel":
+        x_star = kernelize.solve_sketched_kernel(kernelize.gram_from_features(A),
+                                                 np.eye(config.n), loss, config.lam,
+                                                 config.solve_options()).minimizer
 
     cells = [(trial, m_idx, m)
              for trial in range(config.trials)

@@ -46,9 +46,13 @@ DUAL_OPTIONS = SolveOptions(grad_tolerance=1e-9, max_iters=200_000)
 # smooth programs: f(B x + c) + lam/2 ||x + t||^2
 
 
-def _newton_step_direct(B, h, lam, g):
+def _newton_step_direct(B, h, lam, g, G=None):
+    # (B.T diag(h) B + lam G) delta = -g, G the regularizer's Gram matrix (None: identity)
     H = (B * h[:, None]).T @ B
-    H[np.diag_indices_from(H)] += lam
+    if G is None:
+        H[np.diag_indices_from(H)] += lam
+    else:
+        H += lam * G
     try:
         return -cho_solve(cho_factor(H), g)
     except np.linalg.LinAlgError:
@@ -104,14 +108,8 @@ def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
         h = loss.hessian_diag(w)
         if use_dual_space:
             delta = _newton_step_dual_space(B, BBt, h, lam, g)
-        elif G is None:
-            delta = _newton_step_direct(B, h, lam, g)
         else:
-            H = (B * h[:, None]).T @ B + lam * G
-            try:
-                delta = -cho_solve(cho_factor(H), g)
-            except np.linalg.LinAlgError:
-                delta = -np.linalg.lstsq(H, g, rcond=None)[0]
+            delta = _newton_step_direct(B, h, lam, g, G)
         slope = float(g @ delta)
         if slope >= 0:  # numerical breakdown; fall back to steepest descent
             delta = -g
@@ -476,7 +474,7 @@ def _accelerate(B, b_linear, lam, feas, y, By):
     return y, By
 
 
-def solve_dual_projected(loss: NonSmoothLoss, B, b_linear, lam: float, feasible_set,
+def solve_dual_projected(B, b_linear, lam: float, feasible_set,
                          opts: SolveOptions = DUAL_OPTIONS, y0=None,
                          polish: bool = True, callback=None) -> SolveResult:
     """Minimize f*(y) + (1/2 lam) ||B y||^2 over ``feasible_set`` by projected
@@ -536,6 +534,6 @@ def solve_nonsmooth_primal_reference(A, loss: NonSmoothLoss, lam: float,
     """
     A = np.asarray(A, dtype=float)
     feas = conjugate_feasible_set(loss)
-    res = solve_dual_projected(loss, A.T, loss.b, lam, feas, opts)
+    res = solve_dual_projected(A.T, loss.b, lam, feas, opts)
     x_star = -(A.T @ res.minimizer) / lam
     return x_star, res

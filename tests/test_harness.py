@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -112,6 +113,46 @@ class TestParseConfig:
     def test_certify_needs_no_instance(self):
         cfg = parse_config(["certify", "--suite", "conditioning"])
         assert cfg.suite == "conditioning"
+
+    @staticmethod
+    def _file_config(tmp_path, content, *flags):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(content))
+        return parse_config(["recover", "--config", str(cfile), *flags])
+
+    def test_file_value_outside_choices_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit):
+            self._file_config(tmp_path, {"n": 10, "d": 10, "decay": "explicit"})
+
+    def test_prefix_of_a_flag_is_neither_a_flag_nor_a_key(self, tmp_path):
+        with pytest.raises(SystemExit):
+            self._file_config(tmp_path, {"n": 10, "d": 10, "trial": 5})
+        with pytest.raises(SystemExit):
+            parse_config("recover --n 10 --d 10 --trial 5".split())
+
+    def test_file_values_take_the_flag_types(self, tmp_path):
+        cfg = self._file_config(tmp_path, {"n": 10, "d": 10, "seed": "3"})
+        assert cfg.seed == 3
+        with pytest.raises(SystemExit):
+            self._file_config(tmp_path, {"n": 10.5, "d": 10})
+
+    @pytest.mark.parametrize("m", [[4, 8], "4,8"])
+    def test_every_file_key_reads_as_its_flag(self, tmp_path, m):
+        content = {"experiment": "sweep", "n": 30, "d": 50, "decay": "poly", "nu": 1.5,
+                   "ratio": 0.9, "loss": "relu", "lambda": 0.03,
+                   "embedding": "adaptive-srht", "m": m, "q": 2, "T": 3, "trials": 4,
+                   "seed": 5, "tol": 1e-8, "max_iters": 60, "noise_var": 2.5,
+                   "out": str(tmp_path / "x.csv"), "suite": "conditioning"}
+        flags = ("recover --n 30 --d 50 --decay poly --nu 1.5 --ratio 0.9 --loss relu "
+                 "--lambda 0.03 --embedding adaptive-srht --m 4,8 --q 2 --T 3 --trials 4 "
+                 "--seed 5 --tol 1e-8 --max-iters 60 --noise-var 2.5 "
+                 f"--out {tmp_path / 'x.csv'} --suite conditioning").split()
+        from_flags = parse_config(flags)
+        assert self._file_config(tmp_path, content) == from_flags
+        # every key moves its field off the default, so the comparison covers it
+        defaults = ExperimentConfig(experiment="recover")
+        assert all(getattr(from_flags, fld.name) != getattr(defaults, fld.name)
+                   for fld in fields(ExperimentConfig) if fld.name != "experiment")
 
 
 class TestCsvContract:
@@ -284,5 +325,6 @@ class TestCli:
         assert harness.main(["certify", "--suite", "conditioning"]) == 0
 
     def test_certify_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             harness.main(["certify", "--suite", "nope"])
+        assert exc.value.code == 2

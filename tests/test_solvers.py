@@ -189,7 +189,7 @@ class TestDualProjected:
         B = gen.standard_normal((4, 6))
         loss = make_loss("l1", b=b)
         feas = conjugate_feasible_set(loss)
-        res = solve_dual_projected(loss, B, b, 1e12, feas,
+        res = solve_dual_projected(B, b, 1e12, feas,
                                    SolveOptions(grad_tolerance=1e-10, max_iters=10_000))
         assert np.allclose(res.minimizer, -np.sign(b), atol=1e-6)
 
@@ -204,15 +204,14 @@ class TestDualProjected:
             return y @ b + np.linalg.norm(B @ y) ** 2 / (2 * lam)
 
         _, oracle_val = nested_grid_minimize(objective, [-1, -1], [1, 1], rounds=12, pts=61)
-        res = solve_dual_projected(loss, B, b, lam, conjugate_feasible_set(loss),
+        res = solve_dual_projected(B, b, lam, conjugate_feasible_set(loss),
                                    SolveOptions(grad_tolerance=1e-12, max_iters=50_000))
         assert res.objective <= oracle_val + 1e-8
 
     def test_single_point_box(self):
         point = np.array([0.3, -0.3])
         feas = BoxSet(point, point)
-        loss = make_loss("l1", b=np.ones(2))
-        res = solve_dual_projected(loss, np.eye(2), np.ones(2), 1.0, feas,
+        res = solve_dual_projected(np.eye(2), np.ones(2), 1.0, feas,
                                    SolveOptions(grad_tolerance=1e-10, max_iters=100))
         assert np.array_equal(res.minimizer, point)
 
@@ -222,7 +221,7 @@ class TestDualProjected:
         b = gen.standard_normal(20)
         loss = make_loss("l1", b=b)
         trace = []
-        solve_dual_projected(loss, B, b, 0.05, conjugate_feasible_set(loss),
+        solve_dual_projected(B, b, 0.05, conjugate_feasible_set(loss),
                              SolveOptions(grad_tolerance=1e-12, max_iters=5_000),
                              polish=False, callback=lambda it, obj: trace.append(obj))
         assert len(trace) >= 10
@@ -239,8 +238,7 @@ class TestDualProjected:
         # quadratic with consistent linear term: optimum strictly inside the ball
         B = np.eye(3) * 2.0
         b = np.array([-0.4, 0.2, 0.0])
-        loss = make_loss("linf", b=b)
-        res = solve_dual_projected(loss, B, b, 1.0, L1BallSet(1.0),
+        res = solve_dual_projected(B, b, 1.0, L1BallSet(1.0),
                                    SolveOptions(grad_tolerance=1e-12, max_iters=20_000))
         expected = -b / 4.0  # stationarity of b.y + 2 y.y
         assert np.abs(res.minimizer - expected).max() <= 1e-8
