@@ -223,5 +223,6 @@ def projection_residual_norm(A: np.ndarray, q_s: np.ndarray) -> float:
         if q_s.shape[0] > R.shape[0]:
             # padded oblivious SRHT basis: compare against zero-padded rows
             R = np.vstack([R, np.zeros((q_s.shape[0] - R.shape[0], R.shape[1]))])
-        R = R - q_s @ (q_s.T @ R)
+        P = q_s @ (q_s.T @ R)
+        R = np.subtract(R, P, out=P)
     return spectral_norm(R, tol=1e-9)

@@ -189,6 +189,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.embedding not in EMBEDDING_NAMES:
             raise ValueError(f"unknown embedding {self.embedding!r}")
+        if self.decay not in (synth.POLYNOMIAL, synth.EXPONENTIAL, synth.GEOMETRIC):
+            raise ValueError(f"decay must be poly, exp or geom, not {self.decay!r}; "
+                             "an explicit spectrum is built with synth.SpectrumSpec")
         if self.loss not in SMOOTH_KINDS + NONSMOOTH_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.m_list != sorted(self.m_list):
@@ -219,8 +222,6 @@ class ExperimentConfig:
     def spectrum(self) -> synth.SpectrumSpec:
         if self.decay == synth.GEOMETRIC:
             return synth.SpectrumSpec(kind=synth.GEOMETRIC, ratio=self.ratio)
-        if self.decay == synth.EXPLICIT:
-            raise ValueError("explicit spectra are only supported through the Python API")
         return synth.SpectrumSpec(kind=self.decay, nu=self.nu)
 
     def solve_options(self) -> SolveOptions:
@@ -393,20 +394,55 @@ def _kernel_cell(config, A, summary, loss, w_star, trial, m, rng, opts):
     return rec
 
 
+# The set-up of the last run_experiment call: (key, (A, summary, loss, x_star)).
+# One slot, emptied before a new set-up is built, so at most one instance is
+# ever resident.  It is read once into a local, so a concurrent call that
+# replaces it cannot hand this call another config's set-up.
+_last_setup = (None, None)
+
+
+def _setup(config: ExperimentConfig):
+    """The instance and reference solve of a config, ``(A, summary, loss, x_star)``,
+    reused from the previous call when every input they depend on matches.  ``A``
+    and ``x_star`` are read-only, so no cell can change what a later run sees."""
+    global _last_setup
+    if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
+        reference = "primal"
+    elif config.experiment == "kernel":
+        reference = "kernel"
+    else:
+        reference = None
+    opts = config.solve_options()
+    key = (config.n, config.d, config.spectrum(), config.seed, config.loss, config.noise_var,
+           config.lam, opts, reference)
+    cached_key, setup = _last_setup
+    if cached_key == key:
+        return setup
+    del setup
+    _last_setup = (None, None)
+    A, summary, loss = build_instance(config)
+    x_star = None
+    if reference == "primal":
+        x_star = estimators._ensure_reference(A, loss, config.lam, opts)
+    elif reference == "kernel":
+        x_star = kernelize.solve_sketched_kernel(kernelize.gram_from_features(A),
+                                                 np.eye(config.n), loss, config.lam,
+                                                 opts).minimizer
+    for arr in (A, x_star):
+        if arr is not None:
+            arr.flags.writeable = False
+    setup = (A, summary, loss, x_star)
+    _last_setup = (key, setup)
+    return setup
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Run all (trial, m) cells of an experiment, write the CSV and JSON
     summary atomically, and return the records in (trial, m) order.
 
     A cell that raises writes no records; it is logged and listed under
     ``failed`` in the summary."""
-    A, summary, loss = build_instance(config)
-    x_star = None
-    if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
-        x_star = estimators._ensure_reference(A, loss, config.lam, config.solve_options())
-    elif config.experiment == "kernel":
-        x_star = kernelize.solve_sketched_kernel(kernelize.gram_from_features(A),
-                                                 np.eye(config.n), loss, config.lam,
-                                                 config.solve_options()).minimizer
+    A, summary, loss, x_star = _setup(config)
 
     cells = [(trial, m_idx, m)
              for trial in range(config.trials)

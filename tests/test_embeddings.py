@@ -7,6 +7,7 @@ from subsketch.embeddings import (
     ADAPTIVE_SRHT,
     COLUMN_SUBSAMPLE,
     OBLIVIOUS_GAUSSIAN,
+    OBLIVIOUS_SRHT,
     DegenerateSketch,
     EmbeddingSpec,
     _fwht_inplace,
@@ -19,7 +20,7 @@ from subsketch.embeddings import (
     srht_matrix,
     whiten,
 )
-from subsketch.numkit import SeededRng, sample_gaussian_matrix
+from subsketch.numkit import SeededRng, sample_gaussian_matrix, spectral_norm
 from subsketch.synth import EXPONENTIAL, SpectrumSpec, synth_matrix
 
 from oracles import allocating_apply_srht, allocating_fwht_rows
@@ -251,6 +252,17 @@ class TestProjectionResidual:
     def test_empty_basis_returns_full_norm(self):
         A = np.diag([2.0, 1.0])
         assert projection_residual_norm(A, np.zeros((2, 0))) == pytest.approx(2.0, rel=1e-8)
+
+    # d=36 pads the oblivious SRHT basis to 64 rows; d=32 leaves it unpadded
+    @pytest.mark.parametrize("d", [36, 32])
+    def test_matches_allocating_expression_bit_for_bit(self, d):
+        A, _ = synth_matrix(24, d, SpectrumSpec(EXPONENTIAL, nu=0.4), SeededRng(21))
+        A.flags.writeable = False
+        q_s = build_sketch(A, EmbeddingSpec(OBLIVIOUS_SRHT, m=8, seed=SeededRng(22))).q_s
+        assert q_s.shape[0] == next_pow2(d)
+        R = np.vstack([A.T, np.zeros((q_s.shape[0] - d, A.shape[0]))])
+        expected = spectral_norm(R - q_s @ (q_s.T @ R), tol=1e-9)
+        assert projection_residual_norm(A, q_s) == expected
 
 
 class TestSketchBundle:

@@ -1,11 +1,12 @@
 import json
 import os
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from subsketch import harness
+from subsketch import estimators, harness, synth
 from subsketch.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -54,6 +55,14 @@ class TestParseConfig:
     def test_unsorted_m_list_rejected(self):
         with pytest.raises(SystemExit):
             parse_config("sweep --n 10 --d 10 --m 32,16".split())
+
+    def test_unknown_decay_rejected(self):
+        with pytest.raises(ValueError, match="decay must be"):
+            ExperimentConfig(experiment="recover", n=10, d=10, decay="linear")
+
+    def test_explicit_decay_rejected(self):
+        with pytest.raises(ValueError, match="decay must be"):
+            ExperimentConfig(experiment="recover", n=10, d=10, decay="explicit")
 
     def test_dagger_only_for_recover_and_sweep(self):
         assert parse_config("sweep --n 10 --d 10 --embedding oblivious-dagger".split())
@@ -290,6 +299,113 @@ class TestRunExperiment:
         rows_s = [line.split(",")[:idx] for line in open(tmp_path / "s.csv")]
         rows_p = [line.split(",")[:idx] for line in open(tmp_path / "p.csv")]
         assert rows_s == rows_p
+
+
+class TestSetupReuse:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the instance synthesis, and reference solves: calls of
+        ``_ensure_reference`` that are not handed ``x_star``."""
+        counts = {"synth": 0, "reference": 0}
+        synth_matrix, ensure_reference = synth.synth_matrix, estimators._ensure_reference
+
+        def counted_synth(*args, **kwargs):
+            counts["synth"] += 1
+            return synth_matrix(*args, **kwargs)
+
+        def counted_reference(A, loss, lam, opts, x_star=None):
+            counts["reference"] += x_star is None
+            return ensure_reference(A, loss, lam, opts, x_star)
+
+        monkeypatch.setattr(synth, "synth_matrix", counted_synth)
+        monkeypatch.setattr(estimators, "_ensure_reference", counted_reference)
+        return counts
+
+    @pytest.mark.parametrize("change", [{"embedding": "oblivious-dagger"},
+                                        {"m_list": [4, 6, 8]}, {"out_path": "other.csv"}])
+    def test_cell_inputs_reuse_the_setup(self, tmp_path, counts, change):
+        run_experiment(_mini_config(tmp_path, trials=1))
+        if "out_path" in change:
+            change = {"out_path": str(tmp_path / change["out_path"])}
+        run_experiment(_mini_config(tmp_path, trials=1, **change))
+        assert counts == {"synth": 1, "reference": 1}
+
+    @pytest.mark.parametrize("base, change", [
+        ({}, {"seed": 8}), ({}, {"lam": 2e-2}), ({}, {"loss": "relu"}), ({}, {"tol": 1e-9}),
+        ({}, {"noise_var": 2.0}), ({}, {"nu": 0.5}),
+        ({"decay": "geom", "ratio": 0.9}, {"ratio": 0.8})])
+    def test_setup_inputs_rebuild(self, tmp_path, counts, base, change):
+        run_experiment(_mini_config(tmp_path, trials=1, **base))
+        run_experiment(_mini_config(tmp_path, trials=1, **{**base, **change}))
+        assert counts == {"synth": 2, "reference": 2}
+
+    def test_nu_is_not_an_input_of_a_geometric_spectrum(self, tmp_path, counts):
+        run_experiment(_mini_config(tmp_path, trials=1, decay="geom", ratio=0.9))
+        run_experiment(_mini_config(tmp_path, trials=1, decay="geom", ratio=0.9, nu=0.5))
+        assert counts == {"synth": 1, "reference": 1}
+
+    def test_warm_runs_match_cold_runs(self, tmp_path, counts):
+        """A, B, A on one shared set-up writes the CSVs that each config writes
+        from a cold start, except runtime_ms."""
+        configs = {"a": dict(embedding="adaptive-srht"),
+                   "b": dict(experiment="sweep", embedding="oblivious-dagger", m_list=[6])}
+
+        def run(tag, name):
+            path = tmp_path / f"{tag}.csv"
+            run_experiment(_mini_config(tmp_path, **configs[name], out_path=str(path)))
+            idx = CSV_COLUMNS.index("runtime_ms")
+            return [line.split(",")[:idx] + line.split(",")[idx + 1:] for line in open(path)]
+
+        warm = [run(f"warm{i}", name) for i, name in enumerate("aba")]
+        assert counts == {"synth": 1, "reference": 1}
+        cold = {}
+        for name in "ab":
+            harness._last_setup = (None, None)
+            cold[name] = run(f"cold-{name}", name)
+        assert counts == {"synth": 3, "reference": 3}
+        assert warm == [cold["a"], cold["b"], cold["a"]]
+
+    @pytest.mark.parametrize("experiment, reference", [("recover", True), ("kernel", True),
+                                                       ("conditioning", False)])
+    def test_cached_arrays_are_read_only(self, tmp_path, experiment, reference):
+        loss = "quadratic" if experiment == "conditioning" else "logistic"
+        run_experiment(_mini_config(tmp_path, experiment, loss=loss, trials=1, m_list=[5]))
+        A, _, _, x_star = harness._last_setup[1]
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 0.0
+        assert (x_star is not None) == reference
+        if reference:
+            with pytest.raises(ValueError, match="read-only"):
+                x_star[0] = 0.0
+
+    def test_old_instance_is_released_before_the_next_is_built(self, tmp_path, monkeypatch):
+        run_experiment(_mini_config(tmp_path, trials=1))
+        old = weakref.ref(harness._last_setup[1][0])
+        build_instance = harness.build_instance
+        resident = []
+
+        def checked(config):
+            resident.append(old() is not None)
+            return build_instance(config)
+
+        monkeypatch.setattr(harness, "build_instance", checked)
+        run_experiment(_mini_config(tmp_path, trials=1, seed=8))
+        assert resident == [False]
+
+    def test_failed_setup_is_not_kept(self, tmp_path, counts, monkeypatch):
+        run_experiment(_mini_config(tmp_path, trials=1))
+        counted_reference = estimators._ensure_reference
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(estimators, "_ensure_reference", failing)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_experiment(_mini_config(tmp_path, trials=1, seed=8))
+        assert harness._last_setup == (None, None)
+        monkeypatch.setattr(estimators, "_ensure_reference", counted_reference)
+        run_experiment(_mini_config(tmp_path, trials=1, seed=8))
+        assert counts == {"synth": 3, "reference": 2}
 
 
 class TestCli:
