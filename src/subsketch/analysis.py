@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from subsketch.embeddings import EmbeddingSpec, build_sketch
-from subsketch.numkit import SeededRng, spectral_norm, thin_svd
+from subsketch.numkit import ResidualOperator, SeededRng, spectral_norm, thin_svd
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,7 @@ def sketched_range_residual(A: np.ndarray, spec: EmbeddingSpec) -> float:
     A = np.asarray(A, dtype=float)
     sketch = build_sketch(A, spec)
     B = sketch.a_qs
-    basis = thin_svd(B).u
-    return spectral_norm(A - basis @ (basis.T @ A), tol=1e-10)
+    return spectral_norm(ResidualOperator(thin_svd(B).u, A), tol=1e-10)
 
 
 def aligned_error_floor(sigma1: float, d: int, m: int, lam: float) -> float:

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from subsketch.numkit import SeededRng, sample_gaussian_matrix, spectral_norm, thin_svd
+from subsketch.numkit import (
+    ResidualOperator,
+    SeededRng,
+    sample_gaussian_matrix,
+    spectral_norm,
+    thin_svd,
+)
 
 OBLIVIOUS_GAUSSIAN = "oblivious-gaussian"
 OBLIVIOUS_SRHT = "oblivious-srht"
@@ -213,16 +219,10 @@ def build_sketch(A: np.ndarray, spec: EmbeddingSpec) -> Sketch:
 
 
 def projection_residual_norm(A: np.ndarray, q_s: np.ndarray) -> float:
-    """Operator norm of ``(I - q_s q_s.T) A.T``, by power iteration to relative
-    1e-9: how much of the row space of A escapes the embedding's range.  An
-    empty basis returns ``||A.T||_2``."""
-    R = np.asarray(A, dtype=float).T
-    if q_s.shape[1]:
-        if q_s.shape[0] < R.shape[0]:
-            raise ValueError("basis and data dimensions are incompatible")
-        if q_s.shape[0] > R.shape[0]:
-            # padded oblivious SRHT basis: compare against zero-padded rows
-            R = np.vstack([R, np.zeros((q_s.shape[0] - R.shape[0], R.shape[1]))])
-        P = q_s @ (q_s.T @ R)
-        R = np.subtract(R, P, out=P)
-    return spectral_norm(R, tol=1e-9)
+    """Operator norm of ``(I - q_s q_s.T) A.T``, by Lanczos bidiagonalization to
+    relative 1e-9: how much of the row space of A escapes the embedding's
+    range.  A padded basis (the oblivious SRHT) is compared against the
+    zero-padded rows of ``A.T``; an empty basis returns ``||A.T||_2``.  The
+    residual goes in as an operator and is never formed."""
+    A = np.asarray(A, dtype=float)
+    return spectral_norm(ResidualOperator(q_s, A.T), tol=1e-9)

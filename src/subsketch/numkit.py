@@ -1,9 +1,13 @@
 """Dense linear-algebra kernels: thin SVD, spectral norms, seeded sampling.
 
-Matrices are plain float64 numpy arrays in C (row-major) order.  All sampling
-goes through :class:`SeededRng`, a thin wrapper around numpy's counter-based
-Philox bit generator, so every draw is reproducible from a ``(seed, stream_id)``
-pair across platforms.
+Matrices are plain float64 numpy arrays in C (row-major) order.  Spectral
+norms come from Golub-Kahan-Lanczos bidiagonalization with full
+reorthogonalization, of a dense matrix or of an operator that is applied to
+vectors only, such as the projection residual :class:`ResidualOperator`.
+
+All sampling goes through :class:`SeededRng`, a thin wrapper around numpy's
+counter-based Philox bit generator, so every draw is reproducible from a
+``(seed, stream_id)`` pair across platforms.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.linalg.lapack import dstebz
 
 
 class ConvergenceError(RuntimeError):
@@ -115,43 +120,138 @@ def thin_svd(M: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> T
     )
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Largest singular value of ``M`` by power iteration on ``M.T @ M``.
+class _Basis:
+    """Orthonormal vectors of one length, stored as rows of a buffer that
+    doubles when full, up to ``cap`` rows."""
 
-    Stops once successive Rayleigh quotients agree to relative ``tol``.  The
-    start vector comes from one fixed stream, so the estimate is deterministic.
+    def __init__(self, length: int, cap: int):
+        self.rows = np.empty((min(8, cap), length))
+        self.count = 0
+        self.cap = cap
+
+    def append(self, x: np.ndarray) -> None:
+        if self.count == self.rows.shape[0]:
+            grown = np.empty((min(2 * self.count, self.cap), self.rows.shape[1]))
+            grown[: self.count] = self.rows
+            self.rows = grown
+        self.rows[self.count] = x
+        self.count += 1
+
+    def orthogonalize(self, x: np.ndarray) -> float:
+        """Remove from ``x``, in place, its part in the span of the rows: two
+        classical Gram-Schmidt passes.  Returns the norm of what is left."""
+        if self.count:
+            Q = self.rows[: self.count]
+            for _ in range(2):
+                x -= Q.T @ (Q @ x)
+        return float(np.linalg.norm(x))
+
+
+def _top_singular_value(alphas: list, betas: list) -> float:
+    """Largest singular value of the lower bidiagonal with diagonal ``alphas``
+    and subdiagonal ``betas`` (one shorter for the square matrix): the root of
+    the top eigenvalue of its tridiagonal Gram matrix, by LAPACK bisection."""
+    a = np.array(alphas)
+    b = np.zeros(a.size)
+    b[: len(betas)] = betas
+    k = a.size
+    if k == 1:
+        return float(np.hypot(a[0], b[0]))
+    # range 3 selects eigenvalues by index: here only the k-th, the largest
+    _, top, _, _, info = dstebz(a * a + b * b, a[1:] * b[:-1], 3, 0.0, 0.0, k, k, 0.0, b"E")
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal bisection failed (info={info})", iterations=k)
+    return float(np.sqrt(top[0]))
+
+
+def spectral_norm(M, tol: float = 1e-8, max_iters: int = 10_000) -> float:
+    """Largest singular value of ``M`` by Golub-Kahan-Lanczos bidiagonalization
+    with full reorthogonalization.
+
+    ``M`` is a dense matrix or an operator: any object with ``.shape``, ``@``
+    on vectors and a ``.T`` that applies the transpose, such as
+    :class:`ResidualOperator`.  The bidiagonalization runs on the smaller side
+    from a start vector drawn from one fixed stream, so the result is
+    deterministic.  It stops once the top singular values of successive
+    bidiagonals agree to relative ``tol``, and with the exact value on
+    breakdown or once the step count reaches the smaller dimension.  Raises
+    :class:`ConvergenceError` if ``max_iters`` steps do not settle, and
+    ``ValueError`` if an entry, or a product reached through an operator, is
+    NaN or Inf.
     """
-    M = _check_finite(M)
+    if isinstance(M, np.ndarray) or not hasattr(M, "T"):
+        M = _check_finite(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if min(M.shape) == 0:
         return 0.0
-    gen = SeededRng(0x5EED, 0).generator()
-    # iterate on the smaller Gram side
-    work = M if M.shape[1] <= M.shape[0] else M.T
-    v = gen.standard_normal(work.shape[1])
-    nv = np.linalg.norm(v)
-    v /= nv
-    y = work @ v
-    rayleigh = float(y @ y)
-    if rayleigh == 0.0:
-        return 0.0
-    for it in range(max_iters):
-        v = work.T @ y
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        y = work @ v
-        new = float(y @ y)
-        if abs(new - rayleigh) <= tol * max(new, np.finfo(float).tiny):
-            return float(np.sqrt(new))
-        rayleigh = new
+    work, work_t = (M, M.T) if M.shape[1] <= M.shape[0] else (M.T, M)
+    rows, dim = work.shape
+    v = SeededRng(0x5EED, 0).generator().standard_normal(dim)
+    v /= np.linalg.norm(v)
+    V, U = _Basis(dim, dim), _Basis(rows, dim)
+    alphas: list[float] = []
+    betas: list[float] = []
+    estimate = 0.0
+    for step in range(1, max_iters + 1):
+        # work V = U B with B upper bidiagonal; each new vector is taken
+        # against every stored one, which also removes the three-term part
+        V.append(v)
+        u = work @ v
+        alpha = U.orthogonalize(u)
+        if not np.isfinite(alpha):
+            raise ValueError("matrix contains NaN or Inf entries")
+        if alpha == 0.0:
+            return estimate
+        u /= alpha
+        U.append(u)
+        alphas.append(alpha)
+        if step == dim:
+            return _top_singular_value(alphas, betas)
+        v = work_t @ u
+        beta = V.orthogonalize(v)
+        if not np.isfinite(beta):
+            raise ValueError("matrix contains NaN or Inf entries")
+        betas.append(beta)
+        new = _top_singular_value(alphas, betas)
+        if beta == 0.0 or abs(new - estimate) <= tol * new:
+            return new
+        estimate = new
+        v /= beta
     raise ConvergenceError(
-        f"power iteration did not stabilize within {max_iters} iterations",
+        f"Lanczos bidiagonalization did not settle within {max_iters} steps",
         iterations=max_iters,
-        last_estimate=float(np.sqrt(rayleigh)),
+        last_estimate=estimate,
     )
+
+
+class ResidualOperator:
+    """The operator ``(I - q q.T) [X; 0]``: ``X`` zero-padded to the row count
+    of the orthonormal basis ``q``, less its part in ``range(q)``.  It is
+    applied to vectors only, so neither the padded copy nor the residual is
+    formed; ``.T`` is the transpose."""
+
+    def __init__(self, q: np.ndarray, X: np.ndarray, transposed: bool = False):
+        if q.shape[0] < X.shape[0]:
+            raise ValueError("basis and data dimensions are incompatible")
+        self.q, self.X, self.transposed = q, X, transposed
+        shape = (q.shape[0], X.shape[1])
+        self.shape = shape[::-1] if transposed else shape
+
+    @property
+    def T(self) -> "ResidualOperator":
+        return ResidualOperator(self.q, self.X, not self.transposed)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        q, X = self.q, self.X
+        p = X.shape[0]
+        if self.transposed:
+            return X.T @ (x[:p] - q[:p] @ (q.T @ x))
+        y = X @ x
+        out = q @ (q[:p].T @ y)
+        np.negative(out, out=out)
+        out[:p] += y
+        return out
 
 
 def sample_gaussian_matrix(rows: int, cols: int, variance: float, rng: SeededRng) -> np.ndarray:

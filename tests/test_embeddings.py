@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from subsketch.embeddings import (
     srht_matrix,
     whiten,
 )
-from subsketch.numkit import SeededRng, sample_gaussian_matrix, spectral_norm
+from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.synth import EXPONENTIAL, SpectrumSpec, synth_matrix
 
 from oracles import allocating_apply_srht, allocating_fwht_rows
@@ -255,14 +257,33 @@ class TestProjectionResidual:
 
     # d=36 pads the oblivious SRHT basis to 64 rows; d=32 leaves it unpadded
     @pytest.mark.parametrize("d", [36, 32])
-    def test_matches_allocating_expression_bit_for_bit(self, d):
+    def test_matches_norm_of_formed_residual(self, d):
         A, _ = synth_matrix(24, d, SpectrumSpec(EXPONENTIAL, nu=0.4), SeededRng(21))
         A.flags.writeable = False
         q_s = build_sketch(A, EmbeddingSpec(OBLIVIOUS_SRHT, m=8, seed=SeededRng(22))).q_s
         assert q_s.shape[0] == next_pow2(d)
         R = np.vstack([A.T, np.zeros((q_s.shape[0] - d, A.shape[0]))])
-        expected = spectral_norm(R - q_s @ (q_s.T @ R), tol=1e-9)
-        assert projection_residual_norm(A, q_s) == expected
+        expected = np.linalg.norm(R - q_s @ (q_s.T @ R), 2)
+        assert projection_residual_norm(A, q_s) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [OBLIVIOUS_SRHT, ADAPTIVE_GAUSSIAN])
+    def test_residual_is_never_formed(self, kind):
+        n, d = 400, 600
+        A, _ = synth_matrix(n, d, SpectrumSpec(EXPONENTIAL, nu=0.4), SeededRng(21))
+        q_s = build_sketch(A, EmbeddingSpec(kind, m=32, seed=SeededRng(22))).q_s
+        tracemalloc.start()
+        try:
+            projection_residual_norm(A, q_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d * n * 8 / 4
+
+    def test_non_finite_data_raises(self):
+        A = np.diag([2.0, 1.0])
+        A[1, 0] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            projection_residual_norm(A, np.array([[1.0], [0.0]]))
 
 
 class TestSketchBundle:

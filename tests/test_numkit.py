@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_singular_values
 from subsketch.numkit import (
     ConvergenceError,
+    ResidualOperator,
     SeededRng,
     load_matrix,
     mix64,
@@ -81,10 +82,35 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((3, 4))) == 0.0
 
     def test_iteration_cap(self):
-        M = np.diag([1.0, 0.9999])
+        # more nearly equal top singular values than steps, so three steps
+        # neither reach the dimension nor settle
+        M = np.diag([1.0, 0.9999, 0.9998, 0.9997, 0.9996, 0.5])
         with pytest.raises(ConvergenceError) as err:
             spectral_norm(M, tol=1e-30, max_iters=3)
+        assert err.value.iterations == 3
         assert err.value.last_estimate == pytest.approx(1.0, rel=1e-2)
+
+    def test_clustered_spectrum(self):
+        # power iteration contracts the second direction by (1 - 1e-6)^2 a step
+        M = np.diag(np.concatenate([[1.0, 1.0 - 1e-6], 0.5 ** np.arange(1, 39)]))
+        assert spectral_norm(M, tol=1e-12) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+    def test_repeatable(self):
+        M = SeededRng(12).generator().standard_normal((40, 25))
+        assert spectral_norm(M, tol=1e-9) == spectral_norm(M, tol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+    def test_operator_matches_dense(self, shape):
+        M = SeededRng(14).generator().standard_normal(shape)
+        dense = spectral_norm(M, tol=1e-12)
+        assert dense == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+        assert spectral_norm(_DenseOperator(M), tol=1e-12) == pytest.approx(dense, rel=1e-12)
+
+    def test_nan_through_operator_raises(self):
+        M = np.ones((5, 4))
+        M[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            spectral_norm(_DenseOperator(M))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 8))
     def test_bounded_by_frobenius(self, seed, rows, cols):
@@ -96,6 +122,42 @@ class TestSpectralNorm:
         gen = SeededRng(seed).generator()
         M = np.outer(gen.standard_normal(6), gen.standard_normal(4))
         assert spectral_norm(M, tol=1e-12) == pytest.approx(np.linalg.norm(M), rel=1e-6)
+
+
+class _DenseOperator:
+    """The smallest operator ``spectral_norm`` accepts: shape, ``@`` and ``.T``."""
+
+    def __init__(self, M):
+        self.M = M
+        self.shape = M.shape
+
+    @property
+    def T(self):
+        return _DenseOperator(self.M.T)
+
+    def __matmul__(self, x):
+        return self.M @ x
+
+
+class TestResidualOperator:
+    # rows 20 > 12 pad X with zeros, as the oblivious SRHT basis does
+    @pytest.mark.parametrize("rows", [12, 20])
+    def test_products_match_formed_residual(self, rows):
+        gen = SeededRng(15).generator()
+        X = gen.standard_normal((12, 7))
+        q, _ = np.linalg.qr(gen.standard_normal((rows, 3)))
+        R = np.vstack([X, np.zeros((rows - 12, 7))])
+        R -= q @ (q.T @ R)
+        op = ResidualOperator(q, X)
+        assert op.shape == R.shape and op.T.shape == R.T.shape
+        x, y = gen.standard_normal(7), gen.standard_normal(rows)
+        assert np.abs(op @ x - R @ x).max() <= 1e-13
+        assert np.abs(op.T @ y - R.T @ y).max() <= 1e-13
+        assert spectral_norm(op, tol=1e-12) == pytest.approx(np.linalg.norm(R, 2), rel=1e-12)
+
+    def test_short_basis_rejected(self):
+        with pytest.raises(ValueError):
+            ResidualOperator(np.zeros((3, 1)), np.ones((4, 2)))
 
 
 class TestSampling:
