@@ -1,5 +1,5 @@
-"""Spectral and statistical diagnostics: spectral residual, effective and
-statistical dimensions, condition numbers, Monte-Carlo risk and scaling fits.
+"""Spectral and statistical diagnostics: spectral residual, statistical
+dimension, condition numbers, Monte-Carlo risk and scaling fits.
 """
 
 from __future__ import annotations
@@ -46,17 +46,6 @@ def spectral_residual(summary: SpectralSummary, delta: float) -> float:
         return 0.0
     tail = s[k:]
     return float(tail[0] + np.sqrt(np.sum(tail * tail) / k))
-
-
-def effective_dimension(summary: SpectralSummary, c: float) -> float:
-    """Trace-to-operator-norm ratio of A (c I + A.T A)^-1 A.T."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    s2 = summary.singular_values**2
-    if s2.size == 0:
-        return 0.0
-    weights = s2 / (c + s2)
-    return float(np.sum(weights) / weights[0])
 
 
 def statistical_dimension(summary: SpectralSummary, noise_var: float, n: int) -> int:
@@ -116,7 +105,7 @@ def risk_zero_order(A: np.ndarray, spec: EmbeddingSpec, noise_var: float, lam: f
         directions.append(v / np.linalg.norm(v))
 
     # analytic limit: variance of the in-range noise plus the worst-case bias
-    resid = spectral_norm(A - B @ np.linalg.lstsq(B, A, rcond=None)[0], tol=1e-10)
+    resid = spectral_norm(ResidualOperator(thin_svd(B).u, A), tol=1e-10)
     analytic = noise_var * r / n + resid**2
 
     gram = B.T @ B

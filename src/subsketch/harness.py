@@ -32,7 +32,7 @@ from subsketch.embeddings import (
     next_pow2,
 )
 from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS
-from subsketch.numkit import SeededRng, sample_gaussian_matrix
+from subsketch.numkit import SeededRng
 from subsketch.solvers import SolveOptions
 
 log = logging.getLogger("subsketch")
@@ -158,10 +158,6 @@ def write_summary(path, records: list[RunRecord], failed: list[dict]) -> dict:
     return summary
 
 
-# experiments whose cells draw the configured embedding
-_DRAWS_EMBEDDING = ("recover", "sweep", "iterative", "nonsmooth", "conditioning", "risk")
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -209,13 +205,15 @@ class ExperimentConfig:
         if self.experiment in ("recover", "sweep", "iterative", "kernel") and (
                 self.loss not in SMOOTH_KINDS):
             raise ValueError(f"{self.experiment} needs a smooth loss, not {self.loss!r}")
-        if self.experiment == "kernel" and (self.embedding != "adaptive-gaussian" or self.q != 0):
-            raise ValueError("kernel always sketches with a Gaussian S_tilde and q = 0; "
-                             "use the default --embedding adaptive-gaussian and --q 0")
+        if self.experiment == "kernel" and self.embedding not in (
+                "adaptive-gaussian", "adaptive-srht", "nystrom"):
+            raise ValueError("kernel sketches the n sample coordinates: use --embedding "
+                             "adaptive-gaussian, adaptive-srht or nystrom")
         cap = {"srht": next_pow2(self.d), "adaptive-srht": next_pow2(self.n),
                "nystrom": self.n}.get(self.embedding)
         m_max = max(self.m_list, default=0)
-        if cap is not None and self.experiment in _DRAWS_EMBEDDING and m_max > cap:
+        # every experiment but certify draws the configured embedding
+        if cap is not None and self.experiment != "certify" and m_max > cap:
             raise ValueError(f"sketch size m={m_max} exceeds {cap}, the largest "
                              f"a {self.embedding!r} draw allows at n={self.n}, d={self.d}")
 
@@ -335,7 +333,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     rng = SeededRng(config.seed).derive(trial, m_idx)
     opts = config.solve_options()
     records = []
-    if config.experiment in ("recover", "sweep"):
+    if config.experiment in ("recover", "sweep", "kernel"):
         if config.embedding == "oblivious-dagger":
             rep = estimators.recover_oblivious_dagger(A, loss, config.lam, m, rng, opts,
                                                       x_star=x_star)
@@ -365,8 +363,6 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         rec = _record_base(config, trial, m, summary)
         rec.kappa, rec.kappa_dagger = kappa, kappa_dag
         records.append(rec)
-    elif config.experiment == "kernel":
-        records.append(_kernel_cell(config, A, summary, loss, x_star, trial, m, rng, opts))
     elif config.experiment == "risk":
         spec = _embedding_spec(config, m, rng)
         mc, limit = analysis.risk_zero_order(A, spec, config.noise_var, config.lam,
@@ -380,20 +376,6 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     return records
 
 
-def _kernel_cell(config, A, summary, loss, w_star, trial, m, rng, opts):
-    K = kernelize.gram_from_features(A)
-    s_tilde = sample_gaussian_matrix(config.n, m, 1.0 / m, rng)
-    res = kernelize.solve_sketched_kernel(K, s_tilde, loss, config.lam, opts)
-    w1 = kernelize.kernel_first_order(K, s_tilde, res.minimizer, loss, config.lam)
-    w0 = kernelize.kernel_zero_order(s_tilde, res.minimizer)
-    denom = kernelize.rkhs_distance(K, w_star, np.zeros(config.n))
-    rec = _record_base(config, trial, m, summary)
-    rec.rel_err_x0 = kernelize.rkhs_distance(K, w0, w_star) / denom
-    rec.rel_err_x1 = kernelize.rkhs_distance(K, w1, w_star) / denom
-    rec.objective = res.objective
-    return rec
-
-
 # The set-up of the last run_experiment call: (key, (A, summary, loss, x_star)).
 # One slot, emptied before a new set-up is built, so at most one instance is
 # ever resident.  It is read once into a local, so a concurrent call that
@@ -403,31 +385,26 @@ _last_setup = (None, None)
 
 def _setup(config: ExperimentConfig):
     """The instance and reference solve of a config, ``(A, summary, loss, x_star)``,
-    reused from the previous call when every input they depend on matches.  ``A``
-    and ``x_star`` are read-only, so no cell can change what a later run sees."""
+    reused from the previous call when every input they depend on matches.  A
+    ``kernel`` config's data is the root ``K_h`` of the linear-kernel Gram matrix
+    (``K_h @ K_h.T = A @ A.T``), so its cells solve and measure in root
+    coordinates.  ``A`` and ``x_star`` are read-only, so no cell can change what
+    a later run sees."""
     global _last_setup
-    if config.experiment in ("recover", "sweep", "iterative", "nonsmooth"):
-        reference = "primal"
-    elif config.experiment == "kernel":
-        reference = "kernel"
-    else:
-        reference = None
+    kernel = config.experiment == "kernel"
+    reference = config.experiment in ("recover", "sweep", "iterative", "nonsmooth", "kernel")
     opts = config.solve_options()
     key = (config.n, config.d, config.spectrum(), config.seed, config.loss, config.noise_var,
-           config.lam, opts, reference)
+           config.lam, opts, kernel, reference)
     cached_key, setup = _last_setup
     if cached_key == key:
         return setup
     del setup
     _last_setup = (None, None)
     A, summary, loss = build_instance(config)
-    x_star = None
-    if reference == "primal":
-        x_star = estimators._ensure_reference(A, loss, config.lam, opts)
-    elif reference == "kernel":
-        x_star = kernelize.solve_sketched_kernel(kernelize.gram_from_features(A),
-                                                 np.eye(config.n), loss, config.lam,
-                                                 opts).minimizer
+    if kernel:
+        A = kernelize.kernel_root(kernelize.gram_from_features(A))
+    x_star = estimators._ensure_reference(A, loss, config.lam, opts) if reference else None
     for arr in (A, x_star):
         if arr is not None:
             arr.flags.writeable = False

@@ -1,10 +1,12 @@
-"""Kernel-space formulation: Gram matrices, sketched kernel solves in weight
-space, RKHS metrics, and random Fourier features.
+"""Kernel-space formulation: Gram matrices, the kernel root, sketched kernel
+solves in weight space and the RKHS metric.
 
 Sketching the n x n Gram matrix ``K`` with an oblivious ``s_tilde`` is
 structurally identical to sketching the feature matrix with the adaptive
 embedding built from the same ``s_tilde``; the solvers here only ever touch
-``K``, never the features.
+``K``, never the features.  The harness's ``kernel`` cells use that identity
+the other way round: they run the feature-space pipeline on ``kernel_root(K)``.
+The weight-space route here is what ``kernel-consistency`` checks it against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from subsketch.embeddings import _whiten_svd
 from subsketch.losses import SmoothLoss
-from subsketch.numkit import SeededRng
 from subsketch.solvers import SolveOptions, SolveResult, solve_sketched
 
 # eigenvalues of K below this fraction of the largest count as zero
@@ -78,11 +79,6 @@ def solve_sketched_kernel(K: np.ndarray, s_tilde: np.ndarray, loss: SmoothLoss, 
     return SolveResult(alpha, res.objective, res.grad_norm, res.iterations, res.converged)
 
 
-def kernel_zero_order(s_tilde: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Weight-space linear reconstruction ``s_tilde @ alpha``."""
-    return np.asarray(s_tilde, dtype=float) @ np.asarray(alpha, dtype=float)
-
-
 def kernel_first_order(K: np.ndarray, s_tilde: np.ndarray, alpha: np.ndarray,
                        loss: SmoothLoss, lam: float) -> np.ndarray:
     """Weight-space dual map ``-(1/lam) grad_f(K s_tilde alpha)``."""
@@ -98,21 +94,3 @@ def rkhs_distance(K: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     K = np.asarray(K, dtype=float)
     delta = np.asarray(w, dtype=float) - np.asarray(v, dtype=float)
     return float(np.sqrt(max(float(delta @ (K @ delta)), 0.0)))
-
-
-def rff_features(X: np.ndarray, feature_count: int, gamma: float, rng: SeededRng) -> np.ndarray:
-    """Random cosine features approximating the Gaussian kernel.
-
-    ``psi(x) = sqrt(2/D) cos(W x + u)`` with rows of W drawn N(0, 2*gamma*I)
-    and phases u uniform on [0, 2*pi], so that the feature inner products
-    concentrate around ``exp(-gamma ||x - x'||^2)``.
-    """
-    if feature_count < 1:
-        raise ValueError("feature_count must be >= 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    gen = rng.generator()
-    W = gen.normal(0.0, np.sqrt(2.0 * gamma), size=(feature_count, X.shape[1]))
-    u = gen.uniform(0.0, 2.0 * np.pi, size=feature_count)
-    return np.sqrt(2.0 / feature_count) * np.cos(X @ W.T + u)

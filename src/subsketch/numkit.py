@@ -274,26 +274,3 @@ def sample_haar_frame(p: int, r: int, rng: SeededRng) -> np.ndarray:
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    """Write a matrix in the dense text format: header ``rows cols``, one row per line."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(format(x, ".17g") for x in row))
-            fh.write("\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("matrix file must start with a 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (rows, cols):
-        raise ValueError(f"matrix body {data.shape} does not match header ({rows}, {cols})")
-    return data

@@ -6,7 +6,6 @@ from subsketch.analysis import (
     aligned_error_floor,
     aligned_instance_check,
     condition_numbers,
-    effective_dimension,
     loglog_slope_fit,
     risk_zero_order,
     sketched_range_residual,
@@ -49,33 +48,6 @@ class TestSpectralResidual:
             s = _summary(sigma)
             vals = [spectral_residual(s, k) for k in range(1, 30)]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-class TestEffectiveDimension:
-    def test_symmetric_pair(self):
-        assert effective_dimension(_summary([1.0, 1.0]), 1.0) == pytest.approx(2.0)
-
-    def test_strong_gap(self):
-        val = effective_dimension(_summary([10.0, 0.01]), 1.0)
-        w1 = 100.0 / 101.0
-        w2 = 1e-4 / (1.0 + 1e-4)
-        assert val == pytest.approx((w1 + w2) / w1)
-        # explicit matrix oracle
-        A = np.diag([10.0, 0.01])
-        D = A @ np.linalg.inv(np.eye(2) + A.T @ A) @ A.T
-        assert val == pytest.approx(np.trace(D) / np.linalg.norm(D, 2))
-
-    def test_small_c_limit_is_rank(self):
-        s = _summary([3.0, 2.0, 1.0])
-        assert effective_dimension(s, 1e-14) == pytest.approx(3.0, abs=1e-10)
-
-    def test_monotone_and_bounded(self):
-        gen = SeededRng(2).generator()
-        sigma = np.sort(gen.uniform(0.5, 4.0, 12))[::-1]
-        s = _summary(sigma)
-        vals = [effective_dimension(s, c) for c in (1e-6, 1e-3, 1.0, 10.0)]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        assert all(1.0 <= v <= 12.0 for v in vals)
 
 
 class TestStatisticalDimension:

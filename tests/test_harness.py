@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from subsketch import estimators, harness, synth
+from subsketch import estimators, harness, kernelize, synth
 from subsketch.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -16,6 +16,7 @@ from subsketch.harness import (
     run_experiment,
     write_records,
 )
+from subsketch.numkit import SeededRng, sample_gaussian_matrix
 
 
 class TestParseConfig:
@@ -82,13 +83,15 @@ class TestParseConfig:
             with pytest.raises(SystemExit):
                 parse_config(f"{experiment} --n 10 --d 10 --loss l1".split())
 
-    def test_kernel_sketches_only_with_adaptive_gaussian(self):
-        # the kernel cell always draws a Gaussian S_tilde with q = 0
-        assert parse_config("kernel --n 10 --d 10 --embedding adaptive-gaussian --q 0".split())
-        for flags in ("--embedding srht --q 2", "--embedding srht", "--embedding nystrom",
-                      "--embedding oblivious-dagger", "--q 1"):
+    def test_kernel_sketches_the_sample_coordinates(self):
+        # a kernel cell sketches the root K_h.T, whose n columns are the samples
+        for flags in ("--embedding adaptive-gaussian", "--embedding adaptive-srht --q 1",
+                      "--embedding nystrom --m 10"):
+            assert parse_config(f"kernel --n 10 --d 12 {flags}".split())
+        for flags in ("--embedding gaussian", "--embedding srht",
+                      "--embedding oblivious-dagger", "--embedding nystrom --m 11"):
             with pytest.raises(SystemExit):
-                parse_config(f"kernel --n 10 --d 10 {flags}".split())
+                parse_config(f"kernel --n 10 --d 12 {flags}".split())
 
     def test_srht_size_capped_by_padded_feature_dimension(self):
         assert parse_config("recover --n 16 --d 24 --embedding srht --m 4,32".split())
@@ -299,6 +302,53 @@ class TestRunExperiment:
         rows_s = [line.split(",")[:idx] for line in open(tmp_path / "s.csv")]
         rows_p = [line.split(",")[:idx] for line in open(tmp_path / "p.csv")]
         assert rows_s == rows_p
+
+
+class TestKernelCells:
+    def test_one_root_per_config(self, tmp_path, monkeypatch):
+        counts = {"gram_from_features": 0, "kernel_root": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(kernelize, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kernelize, name, counted)
+        monkeypatch.setattr(harness, "_last_setup", (None, None))
+        records = run_experiment(_mini_config(tmp_path, "kernel"))
+        assert len(records) == 4
+        assert counts == {"gram_from_features": 1, "kernel_root": 1}
+
+    def test_sketch_spanning_the_root_is_exact(self, tmp_path):
+        cfg = _mini_config(tmp_path, "kernel", n=80, d=120, seed=3, m_list=[64], trials=1)
+        (rec,) = run_experiment(cfg)
+        assert rec.rel_err_x0 <= 1e-12
+        assert rec.rel_err_x1 <= 1e-8
+        assert harness._last_setup[1][0].shape == (80, 58)  # m is at least rank(K_h)
+        # the sketch captures the whole root, and the row is certified
+        assert rec.residual_norm <= 1e-12 and rec.condition_ok
+
+    def test_rows_match_the_weight_space_route(self, tmp_path):
+        """The root cells and the weight-space route of ``kernelize`` solve one
+        problem: the same S_tilde, the same errors in the RKHS norm."""
+        cfg = _mini_config(tmp_path, "kernel")
+        records = run_experiment(cfg)
+        A, _, loss = harness.build_instance(cfg)
+        K = kernelize.gram_from_features(A)
+        opts = cfg.solve_options()
+        w_star = kernelize.solve_sketched_kernel(K, np.eye(cfg.n), loss, cfg.lam,
+                                                 opts).minimizer
+        norm = kernelize.rkhs_distance(K, w_star, np.zeros(cfg.n))
+        for rec in records:
+            rng = SeededRng(cfg.seed).derive(rec.trial, cfg.m_list.index(rec.m))
+            s_tilde = sample_gaussian_matrix(cfg.n, rec.m, 1.0 / rec.m, rng)
+            res = kernelize.solve_sketched_kernel(K, s_tilde, loss, cfg.lam, opts)
+            w0 = s_tilde @ res.minimizer
+            w1 = kernelize.kernel_first_order(K, s_tilde, res.minimizer, loss, cfg.lam)
+            assert rec.rel_err_x0 == pytest.approx(
+                kernelize.rkhs_distance(K, w0, w_star) / norm, rel=1e-12, abs=0)
+            assert rec.rel_err_x1 == pytest.approx(
+                kernelize.rkhs_distance(K, w1, w_star) / norm, rel=1e-12, abs=0)
+            assert rec.objective == pytest.approx(res.objective, rel=1e-12, abs=0)
 
 
 class TestSetupReuse:

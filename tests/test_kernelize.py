@@ -8,8 +8,6 @@ from subsketch.kernelize import (
     gram_gaussian_kernel,
     kernel_first_order,
     kernel_root,
-    kernel_zero_order,
-    rff_features,
     rkhs_distance,
     solve_sketched_kernel,
 )
@@ -148,11 +146,6 @@ class TestKernelEstimators:
         w1 = kernel_first_order(K, np.eye(n), w_star, loss, lam)
         assert np.linalg.norm(K @ (w1 - w_star)) <= 1e-8
 
-    def test_kernel_zero_order(self):
-        s_tilde = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        alpha = np.array([2.0, -1.0])
-        assert np.array_equal(kernel_zero_order(s_tilde, alpha), s_tilde @ alpha)
-
 
 class TestRkhsDistance:
     def test_zero_for_equal_weights(self):
@@ -171,35 +164,6 @@ class TestRkhsDistance:
         gen = SeededRng(19).generator()
         w, v = gen.standard_normal(6), gen.standard_normal(6)
         assert rkhs_distance(K, w, v) == pytest.approx(np.linalg.norm(A.T @ (w - v)), abs=1e-10)
-
-
-class TestRandomFourierFeatures:
-    def test_self_inner_product(self):
-        D = 10_000
-        x = SeededRng(20).generator().standard_normal((1, 5))
-        psi = rff_features(x, D, 0.3, SeededRng(21))
-        assert abs(psi[0] @ psi[0] - 1.0) <= 4.0 / np.sqrt(D)
-
-    def test_kernel_approximation(self):
-        D = 10_000
-        gen = SeededRng(22).generator()
-        X = gen.standard_normal((2, 4))
-        gamma = 0.4
-        psi = rff_features(X, D, gamma, SeededRng(23))
-        target = np.exp(-gamma * np.sum((X[0] - X[1]) ** 2))
-        assert abs(psi[0] @ psi[1] - target) <= 0.05
-
-    def test_reproducible(self):
-        X = SeededRng(24).generator().standard_normal((3, 2))
-        a = rff_features(X, 50, 1.0, SeededRng(25))
-        b = rff_features(X, 50, 1.0, SeededRng(25))
-        assert np.array_equal(a, b)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            rff_features(np.ones((2, 2)), 0, 1.0, SeededRng(0))
-        with pytest.raises(ValueError):
-            rff_features(np.ones((2, 2)), 5, -1.0, SeededRng(0))
 
 
 class TestRkhsErrorEqualsEuclidean:

@@ -8,11 +8,9 @@ from subsketch.numkit import (
     ConvergenceError,
     ResidualOperator,
     SeededRng,
-    load_matrix,
     mix64,
     sample_gaussian_matrix,
     sample_haar_frame,
-    save_matrix,
     spectral_norm,
     thin_svd,
 )
@@ -207,19 +205,3 @@ class TestRngPlumbing:
         base = SeededRng(42)
         assert base.derive(1).stream_id != base.derive(2).stream_id
         assert base.derive(1) == base.derive(1)
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        M = SeededRng(13).generator().standard_normal((4, 3)) * 1e-7
-        path = tmp_path / "m.txt"
-        save_matrix(path, M)
-        text = path.read_text().splitlines()
-        assert text[0] == "4 3"
-        assert np.array_equal(load_matrix(path), M)
-
-    def test_header_mismatch(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n1 2\n")
-        with pytest.raises(ValueError):
-            load_matrix(path)
