@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from subsketch.embeddings import EmbeddingSpec, build_sketch
 from subsketch.numkit import ResidualOperator, SeededRng, spectral_norm, thin_svd
@@ -108,20 +107,20 @@ def risk_zero_order(A: np.ndarray, spec: EmbeddingSpec, noise_var: float, lam: f
     resid = spectral_norm(ResidualOperator(thin_svd(B).u, A), tol=1e-10)
     analytic = noise_var * r / n + resid**2
 
+    # trial tr's noise w is the stream rng.derive(tr) in every direction: keep B.T @ w
+    noise_scale = np.sqrt(noise_var / n)
+    bt_noise = np.column_stack([B.T @ (noise_scale * rng.derive(tr).generator().standard_normal(n))
+                                for tr in range(trials)])
     gram = B.T @ B
     gram[np.diag_indices_from(gram)] += lam
-    factor = cho_factor(gram)
-    noise_scale = np.sqrt(noise_var / n)
     mc_risk = 0.0
     for v in directions:
         signal = A @ v
+        beta = np.linalg.solve(gram, (B.T @ signal)[:, None] + bt_noise)
         total = 0.0
-        for tr in range(trials):
-            w = noise_scale * rng.derive(tr).generator().standard_normal(n)
-            b = signal + w
-            beta = cho_solve(factor, B.T @ b)
-            err = B @ beta - signal
-            total += float(err @ err)
+        for lo in range(0, trials, 64):  # blocks of trials: no n x trials array is held
+            err = B @ beta[:, lo:lo + 64] - signal[:, None]
+            total += float(np.vdot(err, err))
         mc_risk = max(mc_risk, total / trials)
     return mc_risk, float(analytic)
 

@@ -194,13 +194,16 @@ class ExperimentConfig:
             raise ValueError("m list must be sorted ascending")
         if self.trials < 1 or self.T < 1:
             raise ValueError("trials and T must be >= 1")
+        adaptive = EMBEDDING_NAMES[self.embedding] in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)
+        # certify draws no embedding from these flags
+        if self.q < 0 or (self.q != 0 and not adaptive and self.experiment != "certify"):
+            raise ValueError(f"q must be >= 0, and 0 for embedding {self.embedding!r}, "
+                             "which takes no power iterations")
         # combinations whose every cell would raise
         if self.embedding == "oblivious-dagger" and self.experiment in (
                 "iterative", "nonsmooth", "conditioning", "risk"):
             raise ValueError("embedding 'oblivious-dagger' is only valid for recover and sweep")
-        if self.experiment == "nonsmooth" and (
-                self.loss not in NONSMOOTH_KINDS
-                or EMBEDDING_NAMES[self.embedding] not in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)):
+        if self.experiment == "nonsmooth" and (self.loss not in NONSMOOTH_KINDS or not adaptive):
             raise ValueError("nonsmooth needs a non-smooth loss and an adaptive embedding")
         if self.experiment in ("recover", "sweep", "iterative", "kernel") and (
                 self.loss not in SMOOTH_KINDS):
@@ -324,9 +327,7 @@ def _fill_from_report(rec: RunRecord, rep: estimators.RecoveryReport) -> RunReco
 
 
 def _embedding_spec(config: ExperimentConfig, m: int, rng: SeededRng) -> EmbeddingSpec:
-    kind = EMBEDDING_NAMES[config.embedding]
-    q = config.q if kind in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT) else 0
-    return EmbeddingSpec(kind=kind, m=m, q=q, seed=rng)
+    return EmbeddingSpec(kind=EMBEDDING_NAMES[config.embedding], m=m, q=config.q, seed=rng)
 
 
 def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):

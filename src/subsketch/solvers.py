@@ -1,11 +1,12 @@
 """Deterministic optimizers for the full, sketched and dual programs.
 
-Smooth programs are solved by damped Newton (Armijo backtracking, Cholesky on
-the positive-definite regularized Hessian).  The
-non-smooth losses are handled entirely through their Fenchel duals, which are
-convex quadratics over a box, a signed simplex face, or the L1 ball, solved by
-fixed-step projected gradient with an optional exact solve on the identified
-active face to sharpen the endgame.
+Smooth programs are solved by damped Newton (Armijo backtracking, an LU solve
+of the regularized Hessian in numpy's LAPACK: scipy bundles a second OpenBLAS
+with its own thread pool, and handing each step between the two costs more
+than the arithmetic).  The non-smooth losses are handled entirely through their
+Fenchel duals, which are convex quadratics over a box, a signed simplex face, or
+the L1 ball, solved by fixed-step projected gradient with an optional exact
+solve on the identified active face to sharpen the endgame.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from subsketch.losses import NonSmoothLoss, SmoothLoss, SubgradientPartition
 from subsketch.numkit import spectral_norm
@@ -54,7 +54,7 @@ def _newton_step_direct(B, h, lam, g, G=None):
     else:
         H += lam * G
     try:
-        return -cho_solve(cho_factor(H), g)
+        return -np.linalg.solve(H, g)
     except np.linalg.LinAlgError:
         return -np.linalg.lstsq(H, g, rcond=None)[0]
 
@@ -64,7 +64,7 @@ def _newton_step_dual_space(B, BBt, h, lam, g):
     c = np.sqrt(h)
     N = BBt * np.outer(c, c)
     N[np.diag_indices_from(N)] += lam
-    inner = cho_solve(cho_factor(N), c * (B @ g))
+    inner = np.linalg.solve(N, c * (B @ g))
     return -(g - B.T @ (c * inner)) / lam
 
 

@@ -6,12 +6,19 @@ sort-and-threshold projections, accelerated gradient instead of Newton, nested
 grid search instead of any solver.  The SRHT oracles keep the row-wise
 Walsh-Hadamard loop that allocates fresh sums and differences at every stage,
 which the package replaced by an in-place transform down the columns; both
-apply the same butterflies, so they must agree bit for bit.
+apply the same butterflies, so they must agree bit for bit.  The risk oracle
+keeps the per-trial Monte-Carlo loop (one noise draw and one Cholesky solve per
+trial and direction) that the package replaced by one multi-right-hand-side
+solve per direction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from subsketch.embeddings import build_sketch
+from subsketch.numkit import ResidualOperator, spectral_norm, thin_svd
 
 
 def jacobi_singular_values(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -146,3 +153,40 @@ def allocating_apply_srht(M: np.ndarray, m: int, rng) -> np.ndarray:
     Mp[:, :p] = M
     Mp *= signs
     return np.sqrt(pt / m) * allocating_fwht_rows(Mp)[:, cols]
+
+
+def loop_risk_zero_order(A, spec, noise_var, lam, trials, rng):
+    """``analysis.risk_zero_order`` with a fresh noise draw and a Cholesky solve
+    for every trial of every direction: ``(mc_risk, analytic_limit)``."""
+    A = np.asarray(A, dtype=float)
+    n, d = A.shape
+    sketch = build_sketch(A, spec)
+    B = sketch.a_qs  # n x r
+    r = B.shape[1]
+
+    f = thin_svd(A)
+    directions = [f.vt[j] for j in range(min(3, f.rank))]
+    gen = rng.generator()
+    for _ in range(5):
+        v = gen.standard_normal(d)
+        directions.append(v / np.linalg.norm(v))
+
+    resid = spectral_norm(ResidualOperator(thin_svd(B).u, A), tol=1e-10)
+    analytic = noise_var * r / n + resid**2
+
+    gram = B.T @ B
+    gram[np.diag_indices_from(gram)] += lam
+    factor = cho_factor(gram)
+    noise_scale = np.sqrt(noise_var / n)
+    mc_risk = 0.0
+    for v in directions:
+        signal = A @ v
+        total = 0.0
+        for tr in range(trials):
+            w = noise_scale * rng.derive(tr).generator().standard_normal(n)
+            b = signal + w
+            beta = cho_solve(factor, B.T @ b)
+            err = B @ beta - signal
+            total += float(err @ err)
+        mc_risk = max(mc_risk, total / trials)
+    return mc_risk, float(analytic)

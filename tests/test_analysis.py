@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import loop_risk_zero_order
 
 from subsketch.analysis import (
     SpectralSummary,
@@ -129,6 +130,19 @@ class TestRisk:
         mc, limit = risk_zero_order(A, spec, noise_var=4.0, lam=1e-9, trials=400,
                                     rng=base.derive(2))
         assert abs(mc - limit) <= 0.08 * limit
+
+    @pytest.mark.parametrize("trials", [500, 1])
+    def test_matches_per_trial_loop_oracle(self, trials):
+        # the risk-limit certificate's instance: the batched solve and the
+        # per-trial Cholesky loop differ only by rounding, which lam=1e-8 amplifies
+        base = SeededRng(0)
+        A, _ = synth_matrix(200, 400, SpectrumSpec(EXPONENTIAL, nu=0.2), base.derive(0xA))
+        spec = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=84, seed=base.derive(17))
+        args = (A, spec, 25.0, 1e-8, trials, base.derive(18))
+        mc, limit = risk_zero_order(*args)
+        mc_loop, limit_loop = loop_risk_zero_order(*args)
+        assert mc == pytest.approx(mc_loop, rel=1e-9, abs=0)
+        assert limit == pytest.approx(limit_loop, rel=1e-9, abs=0)
 
     def test_variance_term_grows_linearly_with_sketch_size(self):
         base = SeededRng(8)

@@ -93,6 +93,18 @@ class TestParseConfig:
             with pytest.raises(SystemExit):
                 parse_config(f"kernel --n 10 --d 12 {flags}".split())
 
+    def test_power_iterations_only_for_adaptive_embeddings(self):
+        # a row's q column must be the power its draw took
+        assert parse_config("recover --n 16 --d 24 --embedding adaptive-gaussian --q 2".split())
+        for argv in ("kernel --n 16 --d 24 --m 4 --embedding nystrom --q 2",
+                     "recover --n 16 --d 24 --m 4 --embedding srht --q 1",
+                     "sweep --n 16 --d 24 --embedding gaussian --q 1",
+                     "recover --n 16 --d 24 --embedding oblivious-dagger --q 1",
+                     "recover --n 16 --d 24 --embedding adaptive-gaussian --q -1"):
+            with pytest.raises(SystemExit):
+                parse_config(argv.split())
+        assert parse_config("certify --embedding srht --q 1".split())
+
     def test_srht_size_capped_by_padded_feature_dimension(self):
         assert parse_config("recover --n 16 --d 24 --embedding srht --m 4,32".split())
         for experiment in ("recover", "sweep", "iterative", "conditioning"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from oracles import (
     accelerated_gradient,
@@ -15,6 +16,8 @@ from subsketch.solvers import (
     L1BallSet,
     SimplexFaceSet,
     SolveOptions,
+    _newton_step_direct,
+    _newton_step_dual_space,
     conjugate_feasible_set,
     project_box,
     project_l1_ball,
@@ -113,6 +116,51 @@ class TestSketchedSolve:
         assert np.allclose(res.minimizer, 0.0)
         res0 = solve_sketched(np.zeros((5, 0)), make_loss("quadratic", b=b), 1.0, TIGHT)
         assert res0.minimizer.size == 0 and res0.converged
+
+
+class TestNewtonStep:
+    # a well-conditioned step system, n=50 samples and m=10 coordinates, solved
+    # here by scipy's Cholesky as the reference for numpy's LU inside the solver
+    @staticmethod
+    def _system(seed):
+        gen = SeededRng(seed).generator()
+        B = gen.standard_normal((50, 10)) / np.sqrt(50)
+        h = gen.uniform(0.1, 1.0, 50)
+        g = gen.standard_normal(10)
+        S = gen.standard_normal((10, 10)) / np.sqrt(10) + np.eye(10)
+        return B, h, 0.5, g, S.T @ S
+
+    @staticmethod
+    def _cholesky_step(B, h, lam, g, G):
+        return -cho_solve(cho_factor((B * h[:, None]).T @ B + lam * G), g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_direct_step_matches_cholesky(self, seed):
+        B, h, lam, g, G = self._system(seed)
+        for gram in (None, G):
+            ref = self._cholesky_step(B, h, lam, g, np.eye(10) if gram is None else gram)
+            step = _newton_step_direct(B, h, lam, g, gram)
+            assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dual_space_step_matches_cholesky(self, seed):
+        B, h, lam, g, _ = self._system(seed)
+        ref = self._cholesky_step(B, h, lam, g, np.eye(10))
+        step = _newton_step_dual_space(B, B @ B.T, h, lam, g)
+        assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_exactly_singular_system_takes_the_least_squares_step(self):
+        # a zero column in S and in A @ S leaves a zero row and column in the
+        # raw program's Hessian; the solve raises and lstsq takes the step
+        A, loss = _random_instance(20, 15, seed=30)
+        S = SeededRng(31).generator().standard_normal((15, 4))
+        S[:, 2] = 0.0
+        res = solve_sketched_raw(A @ S, S, loss, 0.1, TIGHT)
+        assert np.all(np.isfinite(res.minimizer)) and res.converged
+        assert res.minimizer[2] == 0.0
+        kept = np.delete(S, 2, axis=1)
+        ref = solve_sketched_raw(A @ kept, kept, loss, 0.1, TIGHT)
+        assert np.linalg.norm(S @ res.minimizer - kept @ ref.minimizer) <= 1e-8
 
 
 class TestShiftedSolve:
