@@ -241,7 +241,8 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     domain gives the sketched primal point.  The same objective is then
     re-solved over the subdifferential of f at that point, which pins every
     coordinate where f is differentiable and resolves the set-valued dual map.
-    Returns the recovery report plus the dual solution and the plain objective.
+    Returns the recovery report plus the dual solution and the plain objective;
+    the report has converged only if both solves did.
     """
     if spec.kind not in ADAPTIVE_KINDS:
         raise ValueError("non-smooth recovery expects an adaptive embedding")
@@ -272,6 +273,7 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     report = _report(loss, lam, spec.seed, "nonsmooth-restricted", x_star, residual, True,
                      res, alpha, zero_order(sketch.q_s, alpha), x1,
                      (time.perf_counter() - t0) * 1e3)
+    report.converged = plain.converged and res.converged
     return NonsmoothRecovery(
         report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
         partition=partition, rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),

@@ -132,9 +132,11 @@ def write_records(path, records: list[RunRecord]) -> None:
         raise
 
 
-def write_summary(path, records: list[RunRecord], failed: list[dict]) -> dict:
+def write_summary(path, records: list[RunRecord], failed: list[dict],
+                  not_converged: list[dict]) -> dict:
     """Per (embedding, m) cell means and twice the standard deviations, plus the
-    cells that raised (trial, m and exception text), which have no records."""
+    cells that raised (trial, m and exception text) and the rounds whose solve
+    did not converge (trial, m and round t), neither of which has records."""
     cells: dict[tuple, dict] = {}
     for rec in records:
         key = (rec.embedding, rec.m)
@@ -153,6 +155,7 @@ def write_summary(path, records: list[RunRecord], failed: list[dict]) -> dict:
                 entry[f"two_std_{fld}"] = float(2.0 * arr.std(ddof=1)) if arr.size > 1 else 0.0
         summary["cells"].append(entry)
     summary["failed"] = failed
+    summary["not_converged"] = not_converged
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
@@ -331,9 +334,19 @@ def _embedding_spec(config: ExperimentConfig, m: int, rng: SeededRng) -> Embeddi
 
 
 def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
+    """The records of one cell, and ``{"trial", "m", "t"}`` for each recovery
+    round whose solve did not converge; such a round writes no record."""
     rng = SeededRng(config.seed).derive(trial, m_idx)
     opts = config.solve_options()
-    records = []
+    records, not_converged = [], []
+
+    def add(rep):
+        if rep.converged:
+            records.append(_fill_from_report(_record_base(config, trial, m, summary), rep))
+        else:
+            not_converged.append({"trial": trial, "m": m, "t": rep.t})
+        return rep.converged
+
     if config.experiment in ("recover", "sweep", "kernel"):
         if config.embedding == "oblivious-dagger":
             rep = estimators.recover_oblivious_dagger(A, loss, config.lam, m, rng, opts,
@@ -341,22 +354,22 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         else:
             spec = _embedding_spec(config, m, rng)
             rep = estimators.recover_whitened(A, loss, config.lam, spec, opts, x_star=x_star)
-        records.append(_fill_from_report(_record_base(config, trial, m, summary), rep))
+        add(rep)
     elif config.experiment == "iterative":
         spec = _embedding_spec(config, m, rng)
         for rep in estimators.recover_iterative(A, loss, config.lam, spec, config.T, opts,
                                                 x_star=x_star):
-            records.append(_fill_from_report(_record_base(config, trial, m, summary), rep))
+            add(rep)
     elif config.experiment == "nonsmooth":
         spec = _embedding_spec(config, m, rng)
         out = estimators.recover_nonsmooth(A, loss, config.lam, spec, opts, x_star=x_star)
-        records.append(_fill_from_report(_record_base(config, trial, m, summary), out.report))
-        arb = _record_base(config, trial, m, summary)
-        arb.embedding = "arbitrary-subgradient"
-        arb.rel_err_x1 = out.rel_err_arbitrary
-        arb.residual_norm = out.report.residual_norm
-        arb.runtime_ms = out.report.runtime_ms
-        records.append(arb)
+        if add(out.report):
+            arb = _record_base(config, trial, m, summary)
+            arb.embedding = "arbitrary-subgradient"
+            arb.rel_err_x1 = out.rel_err_arbitrary
+            arb.residual_norm = out.report.residual_norm
+            arb.runtime_ms = out.report.runtime_ms
+            records.append(arb)
     elif config.experiment == "conditioning":
         spec = _embedding_spec(config, m, rng)
         sketch = build_sketch(A, spec)
@@ -374,7 +387,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         records.append(rec)
     else:
         raise ValueError(f"experiment {config.experiment!r} does not produce records")
-    return records
+    return records, not_converged
 
 
 # The set-up of the last run_experiment call: (key, (A, summary, loss, x_star)).
@@ -419,7 +432,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     summary atomically, and return the records in (trial, m) order.
 
     A cell that raises writes no records; it is logged and listed under
-    ``failed`` in the summary."""
+    ``failed`` in the summary.  A round whose solve did not converge writes no
+    record either; it is listed under ``not_converged``."""
+    workers = _worker_count()
     A, summary, loss, x_star = _setup(config)
 
     cells = [(trial, m_idx, m)
@@ -429,15 +444,14 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
         # trials are the noise draws inside each cell; one cell per m
         cells = [(0, m_idx, m) for m_idx, m in enumerate(config.m_list)]
 
-    workers = int(os.environ.get("SUBSKETCH_THREADS", "1"))
-
     def work(cell):
         trial, m_idx, m = cell
         try:
-            return cell, _run_cell(config, A, summary, loss, x_star, trial, m_idx, m), None
+            return cell, *_run_cell(config, A, summary, loss, x_star, trial, m_idx, m), None
         except Exception as exc:
             log.exception("cell (trial=%s, m=%s) failed", trial, m)
-            return cell, [], {"trial": trial, "m": m, "error": f"{type(exc).__name__}: {exc}"}
+            return cell, [], [], {"trial": trial, "m": m,
+                                  "error": f"{type(exc).__name__}: {exc}"}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -445,10 +459,23 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     else:
         results = [work(cell) for cell in cells]
     results.sort(key=lambda res: (res[0][0], res[0][1]))
-    records = [rec for _, recs, _ in results for rec in recs]
+    records = [rec for _, recs, _, _ in results for rec in recs]
     write_records(config.out_path, records)
-    write_summary(_summary_path(config), records, [fail for _, _, fail in results if fail])
+    write_summary(_summary_path(config), records, [fail for *_, fail in results if fail],
+                  [entry for _, _, stalled, _ in results for entry in stalled])
     return records
+
+
+def _worker_count() -> int:
+    """The cell worker count from ``SUBSKETCH_THREADS`` (default 1)."""
+    text = os.environ.get("SUBSKETCH_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SUBSKETCH_THREADS must be an integer >= 1, not {text!r}")
+    return workers
 
 
 def _summary_path(config: ExperimentConfig) -> str:
@@ -472,11 +499,14 @@ def main(argv=None) -> int:
     records = run_experiment(config)
     print(f"wrote {len(records)} records to {config.out_path}")
     with open(_summary_path(config)) as fh:
-        failed = json.load(fh)["failed"]
+        summary = json.load(fh)
+    failed, stalled = summary["failed"], summary["not_converged"]
     if failed:
         print(f"{len(failed)} cell(s) failed; see {_summary_path(config)}", file=sys.stderr)
-        return 1
-    return 0
+    if stalled:
+        print(f"{len(stalled)} round(s) did not converge; see {_summary_path(config)}",
+              file=sys.stderr)
+    return 1 if failed or stalled else 0
 
 
 if __name__ == "__main__":

@@ -8,15 +8,41 @@ vectors only, such as the projection residual :class:`ResidualOperator`.
 All sampling goes through :class:`SeededRng`, a thin wrapper around numpy's
 counter-based Philox bit generator, so every draw is reproducible from a
 ``(seed, stream_id)`` pair across platforms.
+
+The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
+Importing this module holds scipy's pool at one thread for the whole process,
+because the spinning workers of two multi-threaded pools compete for the same
+cores and slow numpy's work down.  The package's scipy BLAS work is small and
+serial: L-BFGS-B with 30 corrections in the non-smooth dual, ``dstebz`` on a
+k x k tridiagonal here, and the rare ``gesvd`` fallback of :func:`thin_svd`.
+numpy's pool keeps following ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox
 from scipy.linalg.lapack import dstebz
+
+# where scipy's wheel bundles its OpenBLAS; absent when scipy shares numpy's BLAS
+_SCIPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+
+
+def _cap_scipy_openblas() -> None:
+    """Set scipy's bundled OpenBLAS, if there is one, to one thread."""
+    for path in glob.glob(os.path.join(_SCIPY_LIBS, "libscipy_openblas*.so")):
+        set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+_cap_scipy_openblas()
 
 
 class ConvergenceError(RuntimeError):

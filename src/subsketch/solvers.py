@@ -7,6 +7,11 @@ than the arithmetic).  The non-smooth losses are handled entirely through their
 Fenchel duals, which are convex quadratics over a box, a signed simplex face, or
 the L1 ball, solved by fixed-step projected gradient with an optional exact
 solve on the identified active face to sharpen the endgame.
+
+The box duals' accelerator is scipy's L-BFGS-B, whose own BLAS work is small
+and serial; it runs in scipy's OpenBLAS pool, which :mod:`subsketch.numkit`
+holds at one thread so that it does not compete for cores with numpy's pool,
+where the objective's products run.
 """
 
 from __future__ import annotations

@@ -281,6 +281,25 @@ class TestNonsmoothRecovery:
         recover_nonsmooth(A, loss, 1.0, spec, opts=opts)
         assert seen == [(opts,)]
 
+    def test_report_converged_needs_plain_and_restricted_solves(self, monkeypatch):
+        solve = estimators.solve_dual_projected
+        base = SeededRng(27)
+        A, _ = synth_matrix(12, 18, SpectrumSpec(EXPONENTIAL, nu=0.5), base.derive(0))
+        loss = make_loss("l1", b=base.derive(1).generator().standard_normal(12))
+        spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(2))
+        assert recover_nonsmooth(A, loss, 1.0, spec).report.converged
+        for plain_ok, restricted_ok in ((False, True), (True, False)):
+            statuses = iter([plain_ok, restricted_ok])
+
+            def solve_with_status(*args, **kwargs):
+                res = solve(*args, **kwargs)
+                res.converged = next(statuses)
+                return res
+
+            monkeypatch.setattr(estimators, "solve_dual_projected", solve_with_status)
+            assert not recover_nonsmooth(A, loss, 1.0, spec).report.converged
+            assert next(statuses, None) is None  # both solves ran
+
     def test_rejects_plain_oblivious_spec(self):
         A = np.eye(3)
         loss = make_loss("l1", b=np.ones(3))

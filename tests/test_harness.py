@@ -269,6 +269,7 @@ class TestRunExperiment:
         assert ("adaptive-gaussian", 4) in cells and ("adaptive-gaussian", 8) in cells
         for c in summary["cells"]:
             assert "mean_rel_err_x1" in c and "two_std_rel_err_x1" in c
+        assert summary["failed"] == [] and summary["not_converged"] == []
 
     def test_iterative_records_per_round(self, tmp_path):
         cfg = _mini_config(tmp_path, experiment="iterative", trials=1, m_list=[6], T=3,
@@ -303,6 +304,14 @@ class TestRunExperiment:
         cfg = _mini_config(tmp_path, embedding="oblivious-dagger", trials=1, m_list=[6])
         rec = run_experiment(cfg)[0]
         assert np.isfinite(rec.rel_err_x1)
+
+    @pytest.mark.parametrize("value", ["two", "", "1.5", "0", "-2"])
+    def test_bad_thread_count_fails_before_setup(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("SUBSKETCH_THREADS", value)
+        monkeypatch.setattr(harness, "_setup", lambda config: pytest.fail("set-up ran"))
+        with pytest.raises(ValueError, match="SUBSKETCH_THREADS must be an integer >= 1"):
+            run_experiment(_mini_config(tmp_path))
+        assert not os.path.exists(tmp_path / "recover.csv")
 
     def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
         cfg_s = _mini_config(tmp_path, experiment="sweep", out_path=str(tmp_path / "s.csv"))
@@ -498,6 +507,19 @@ class TestCli:
         summary = json.load(open(tmp_path / "f.summary.json"))
         assert summary["failed"] == [
             {"trial": 1, "m": 4, "error": "RuntimeError: injected failure"}]
+
+    def test_unconverged_rounds_are_reported_not_written(self, tmp_path, capsys):
+        out = tmp_path / "nc.csv"
+        code = harness.main(
+            f"iterative --n 16 --d 24 --loss logistic --lambda 0.01 --m 4,8 --T 3 --trials 2 "
+            f"--seed 3 --max-iters 1 --out {out}".split())
+        assert code == 1
+        assert read_records(out) == []
+        summary = json.load(open(tmp_path / "nc.summary.json"))
+        assert summary["failed"] == []
+        assert summary["not_converged"] == [
+            {"trial": trial, "m": m, "t": 1} for trial in (0, 1) for m in (4, 8)]
+        assert "4 round(s) did not converge" in capsys.readouterr().err
 
     def test_certify_exit_status(self):
         assert harness.main(["certify", "--suite", "conditioning"]) == 0

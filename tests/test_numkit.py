@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobi_singular_values
+from subsketch import numkit
 from subsketch.numkit import (
     ConvergenceError,
     ResidualOperator,
@@ -205,3 +210,42 @@ class TestRngPlumbing:
         base = SeededRng(42)
         assert base.derive(1).stream_id != base.derive(2).stream_id
         assert base.derive(1) == base.derive(1)
+
+
+# Thread counts of the two bundled OpenBLAS pools, read after the package import.
+_POOL_PROBE = """
+import ctypes, glob, os, sys
+import numpy, scipy
+import subsketch
+
+def lib(package, pattern):
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)), package.__name__ + ".libs")
+    found = glob.glob(os.path.join(libs, pattern))
+    return ctypes.CDLL(found[0]) if found else None
+
+scipy_lib = lib(scipy, "libscipy_openblas*.so")
+if scipy_lib is None:
+    print("none")
+    sys.exit()
+numpy_lib = lib(numpy, "libscipy_openblas64_*.so")
+print(scipy_lib.scipy_openblas_get_num_threads(), numpy_lib.scipy_openblas_get_num_threads64_())
+"""
+
+
+class TestScipyOpenblasCap:
+    def test_import_holds_scipy_pool_at_one_thread_and_leaves_numpy_pool(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        if out == ["none"]:
+            pytest.skip("the installed scipy bundles no OpenBLAS")
+        assert out == ["1", "2"]
+
+    def test_no_bundled_library_is_a_no_op(self, tmp_path, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(numkit, "_SCIPY_LIBS", str(tmp_path))
+        monkeypatch.setattr(numkit.ctypes, "CDLL", loaded.append)
+        assert numkit._cap_scipy_openblas() is None
+        assert loaded == []
