@@ -109,13 +109,15 @@ def _pad(vec, dim):
 
 
 def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
-    """``x_star`` as an array, or the full-dimensional reference solve with ``opts``."""
+    """``(x_star, converged)``: ``x_star`` as an array (converged), or the
+    full-dimensional reference solve with ``opts`` and its status."""
     if x_star is not None:
-        return np.asarray(x_star, dtype=float)
+        return np.asarray(x_star, dtype=float), True
     if loss.smooth:
-        return solve_primal_reference(A, loss, lam, opts).minimizer
-    x_star, _ = solve_nonsmooth_primal_reference(A, loss, lam, opts)
-    return x_star
+        res = solve_primal_reference(A, loss, lam, opts)
+        return res.minimizer, res.converged
+    x_star, res = solve_nonsmooth_primal_reference(A, loss, lam, opts)
+    return x_star, res.converged
 
 
 def _report(loss, lam, rng: SeededRng, route, x_star, residual, certified,
@@ -157,7 +159,7 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
     starts where the previous one ended, the first at ``t0``.
     """
     dim = q_s.shape[0]
-    x_star = _pad(_ensure_reference(A, loss, lam, opts, x_star), dim)
+    x_star = _pad(_ensure_reference(A, loss, lam, opts, x_star)[0], dim)
     reports: list[RecoveryReport] = []
     x_hat = None
     for t in range(1, (T or 1) + 1):
@@ -250,7 +252,7 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     A = np.asarray(A, dtype=float)
     sketch = build_sketch(A, spec)
     residual = projection_residual_norm(A, sketch.q_s)
-    x_star = _ensure_reference(A, loss, lam, opts, x_star)
+    x_star, _ = _ensure_reference(A, loss, lam, opts, x_star)
 
     B = sketch.a_qs.T
     plain = solve_dual_projected(B, loss.b, lam, conjugate_feasible_set(loss), opts,

@@ -133,10 +133,11 @@ def write_records(path, records: list[RunRecord]) -> None:
 
 
 def write_summary(path, records: list[RunRecord], failed: list[dict],
-                  not_converged: list[dict]) -> dict:
+                  not_converged: list[dict], reference_not_converged: bool) -> dict:
     """Per (embedding, m) cell means and twice the standard deviations, plus the
-    cells that raised (trial, m and exception text) and the rounds whose solve
-    did not converge (trial, m and round t), neither of which has records."""
+    cells that raised (trial, m and exception text), the rounds whose solve
+    did not converge (trial, m and round t), neither of which has records, and
+    whether the reference solve did not converge (then no cell has records)."""
     cells: dict[tuple, dict] = {}
     for rec in records:
         key = (rec.embedding, rec.m)
@@ -156,6 +157,7 @@ def write_summary(path, records: list[RunRecord], failed: list[dict],
         summary["cells"].append(entry)
     summary["failed"] = failed
     summary["not_converged"] = not_converged
+    summary["reference_not_converged"] = reference_not_converged
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
@@ -390,7 +392,8 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     return records, not_converged
 
 
-# The set-up of the last run_experiment call: (key, (A, summary, loss, x_star)).
+# The set-up of the last run_experiment call:
+# (key, (A, summary, loss, x_star, reference_converged)).
 # One slot, emptied before a new set-up is built, so at most one instance is
 # ever resident.  It is read once into a local, so a concurrent call that
 # replaces it cannot hand this call another config's set-up.
@@ -398,8 +401,9 @@ _last_setup = (None, None)
 
 
 def _setup(config: ExperimentConfig):
-    """The instance and reference solve of a config, ``(A, summary, loss, x_star)``,
-    reused from the previous call when every input they depend on matches.  A
+    """The instance and reference solve of a config, ``(A, summary, loss, x_star,
+    reference_converged)``, reused from the previous call when every input they
+    depend on matches (a config without a reference counts as converged).  A
     ``kernel`` config's data is the root ``K_h`` of the linear-kernel Gram matrix
     (``K_h @ K_h.T = A @ A.T``), so its cells solve and measure in root
     coordinates.  ``A`` and ``x_star`` are read-only, so no cell can change what
@@ -418,11 +422,12 @@ def _setup(config: ExperimentConfig):
     A, summary, loss = build_instance(config)
     if kernel:
         A = kernelize.kernel_root(kernelize.gram_from_features(A))
-    x_star = estimators._ensure_reference(A, loss, config.lam, opts) if reference else None
+    x_star, converged = (estimators._ensure_reference(A, loss, config.lam, opts)
+                         if reference else (None, True))
     for arr in (A, x_star):
         if arr is not None:
             arr.flags.writeable = False
-    setup = (A, summary, loss, x_star)
+    setup = (A, summary, loss, x_star, converged)
     _last_setup = (key, setup)
     return setup
 
@@ -433,9 +438,11 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
 
     A cell that raises writes no records; it is logged and listed under
     ``failed`` in the summary.  A round whose solve did not converge writes no
-    record either; it is listed under ``not_converged``."""
+    record either; it is listed under ``not_converged``.  If the reference solve
+    did not converge, no cell writes records and the summary sets
+    ``reference_not_converged``."""
     workers = _worker_count()
-    A, summary, loss, x_star = _setup(config)
+    A, summary, loss, x_star, reference_converged = _setup(config)
 
     cells = [(trial, m_idx, m)
              for trial in range(config.trials)
@@ -459,10 +466,11 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     else:
         results = [work(cell) for cell in cells]
     results.sort(key=lambda res: (res[0][0], res[0][1]))
-    records = [rec for _, recs, _, _ in results for rec in recs]
+    records = [rec for _, recs, _, _ in results for rec in recs] if reference_converged else []
     write_records(config.out_path, records)
     write_summary(_summary_path(config), records, [fail for *_, fail in results if fail],
-                  [entry for _, _, stalled, _ in results for entry in stalled])
+                  [entry for _, _, stalled, _ in results for entry in stalled],
+                  not reference_converged)
     return records
 
 
@@ -501,12 +509,16 @@ def main(argv=None) -> int:
     with open(_summary_path(config)) as fh:
         summary = json.load(fh)
     failed, stalled = summary["failed"], summary["not_converged"]
+    bad_reference = summary["reference_not_converged"]
+    if bad_reference:
+        print(f"the reference solve did not converge; see {_summary_path(config)}",
+              file=sys.stderr)
     if failed:
         print(f"{len(failed)} cell(s) failed; see {_summary_path(config)}", file=sys.stderr)
     if stalled:
         print(f"{len(stalled)} round(s) did not converge; see {_summary_path(config)}",
               file=sys.stderr)
-    return 1 if failed or stalled else 0
+    return 1 if failed or stalled or bad_reference else 0
 
 
 if __name__ == "__main__":

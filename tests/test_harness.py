@@ -17,6 +17,7 @@ from subsketch.harness import (
     write_records,
 )
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
+from subsketch.solvers import SolveOptions
 
 
 class TestParseConfig:
@@ -441,7 +442,7 @@ class TestSetupReuse:
     def test_cached_arrays_are_read_only(self, tmp_path, experiment, reference):
         loss = "quadratic" if experiment == "conditioning" else "logistic"
         run_experiment(_mini_config(tmp_path, experiment, loss=loss, trials=1, m_list=[5]))
-        A, _, _, x_star = harness._last_setup[1]
+        A, _, _, x_star, _ = harness._last_setup[1]
         with pytest.raises(ValueError, match="read-only"):
             A[0, 0] = 0.0
         assert (x_star is not None) == reference
@@ -520,6 +521,45 @@ class TestCli:
         assert summary["not_converged"] == [
             {"trial": trial, "m": m, "t": 1} for trial in (0, 1) for m in (4, 8)]
         assert "4 round(s) did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_iters, converged", [(4, False), (8, True)])
+    def test_unconverged_smooth_reference_writes_no_rows(self, tmp_path, capsys, max_iters,
+                                                         converged):
+        """Newton stops the logistic reference after 4 iterations; the cell
+        itself converges, so only the reference keeps its row out."""
+        out = tmp_path / "ref.csv"
+        code = harness.main(
+            f"recover --n 16 --d 24 --loss logistic --lambda 0.01 --m 4 --seed 3 "
+            f"--max-iters {max_iters} --out {out}".split())
+        summary = json.load(open(tmp_path / "ref.summary.json"))
+        assert summary["not_converged"] == [] and summary["failed"] == []
+        assert summary["reference_not_converged"] is not converged
+        assert len(read_records(out)) == int(converged)
+        assert code == int(not converged)
+        assert ("reference solve did not converge" in capsys.readouterr().err) is not converged
+
+    def test_unconverged_nonsmooth_reference_writes_no_rows(self, tmp_path, monkeypatch):
+        """A dual reference cut at one iteration with an unreachable tolerance
+        blocks every row, also when the next run reuses its set-up."""
+        reference = estimators.solve_nonsmooth_primal_reference
+        calls = []
+
+        def truncated(A, loss, lam, opts):
+            calls.append(opts)
+            return reference(A, loss, lam, SolveOptions(grad_tolerance=1e-30, max_iters=1))
+
+        monkeypatch.setattr(estimators, "solve_nonsmooth_primal_reference", truncated)
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.csv"
+            code = harness.main(
+                f"nonsmooth --n 24 --d 36 --decay geom --ratio 0.9 --loss l1 --lambda 0.1 "
+                f"--m 4,8 --seed 7 --out {out}".split())
+            assert code == 1
+            assert read_records(out) == []
+            summary = json.load(open(tmp_path / f"{run}.summary.json"))
+            assert summary["reference_not_converged"] is True
+            assert summary["not_converged"] == [] and summary["failed"] == []
+        assert len(calls) == 1
 
     def test_certify_exit_status(self):
         assert harness.main(["certify", "--suite", "conditioning"]) == 0

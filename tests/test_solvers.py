@@ -291,6 +291,33 @@ class TestDualProjected:
         expected = -b / 4.0  # stationarity of b.y + 2 y.y
         assert np.abs(res.minimizer - expected).max() <= 1e-8
 
+    @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
+    def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
+        """The box accelerator calls L-BFGS-B through ``scipy.optimize.minimize``
+        and keeps scipy's default number of correction pairs."""
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        gen = SeededRng(21).generator()
+        A = gen.standard_normal((30, 8)) / np.sqrt(30)
+        target = gen.standard_normal(30)
+        loss = make_loss(loss_name, b=np.sign(target) if loss_name == "hinge" else target)
+        feas = conjugate_feasible_set(loss)
+        assert isinstance(feas, BoxSet)
+        solve_dual_projected(A.T, loss.b, 0.1, feas,
+                             SolveOptions(grad_tolerance=1e-9, max_iters=1_000))
+        assert calls
+        for kwargs in calls:
+            assert kwargs["method"] == "L-BFGS-B"
+            assert "maxcor" not in kwargs.get("options", {})
+
 
 class TestNonsmoothReference:
     def test_l1_identity_instance(self):
