@@ -23,14 +23,12 @@ from subsketch.embeddings import (
     build_sketch,
     projection_residual_norm,
 )
-from subsketch.losses import NonSmoothLoss, SmoothLoss, SubgradientPartition
+from subsketch.losses import BoxSet, NonSmoothLoss, SmoothLoss
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import (
     DUAL_OPTIONS,
-    BoxSet,
     SolveOptions,
     SolveResult,
-    conjugate_feasible_set,
     solve_dual_projected,
     solve_nonsmooth_primal_reference,
     solve_primal_reference,
@@ -69,7 +67,6 @@ class NonsmoothRecovery:
     report: RecoveryReport
     y_star: np.ndarray
     dual_objective_plain: float
-    partition: SubgradientPartition
     rel_err_arbitrary: float
 
 
@@ -156,10 +153,13 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
     map and yields one report; ``certified`` adds the bound and the
     regularization condition for the measured ``residual``.  ``T=None`` is the
     single-shot pipeline: one round, reported as ``t=0``.  A round's runtime
-    starts where the previous one ended, the first at ``t0``.
+    starts where the previous one ended, the first at ``t0``.  A report has
+    converged only if its round's solve did, and the reference solve too when
+    no ``x_star`` is given.
     """
     dim = q_s.shape[0]
-    x_star = _pad(_ensure_reference(A, loss, lam, opts, x_star)[0], dim)
+    x_star, reference_ok = _ensure_reference(A, loss, lam, opts, x_star)
+    x_star = _pad(x_star, dim)
     reports: list[RecoveryReport] = []
     x_hat = None
     for t in range(1, (T or 1) + 1):
@@ -176,6 +176,7 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
         t1 = time.perf_counter()
         reports.append(_report(loss, lam, rng, route, x_star, residual, certified, res,
                                res.minimizer, v, x_hat, (t1 - t0) * 1e3, t if T else 0))
+        reports[-1].converged = res.converged and reference_ok
         t0 = t1
         if not res.converged or reports[-1].rel_err_x1 < error_floor:
             break
@@ -244,7 +245,8 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     re-solved over the subdifferential of f at that point, which pins every
     coordinate where f is differentiable and resolves the set-valued dual map.
     Returns the recovery report plus the dual solution and the plain objective;
-    the report has converged only if both solves did.
+    the report has converged only if both dual solves did, and the reference
+    solve too when no ``x_star`` is given.
     """
     if spec.kind not in ADAPTIVE_KINDS:
         raise ValueError("non-smooth recovery expects an adaptive embedding")
@@ -252,15 +254,14 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     A = np.asarray(A, dtype=float)
     sketch = build_sketch(A, spec)
     residual = projection_residual_norm(A, sketch.q_s)
-    x_star, _ = _ensure_reference(A, loss, lam, opts, x_star)
+    x_star, reference_ok = _ensure_reference(A, loss, lam, opts, x_star)
 
     B = sketch.a_qs.T
-    plain = solve_dual_projected(B, loss.b, lam, conjugate_feasible_set(loss), opts,
+    plain = solve_dual_projected(B, loss.b, lam, loss.conjugate_domain(), opts,
                                  y0=warm_start)
     alpha = -(B @ plain.minimizer) / lam
     w = sketch.a_qs @ alpha
-    partition = loss.subgradient_partition(w)
-    feas = conjugate_feasible_set(loss, partition)
+    feas = loss.subgradient_partition(w)
     if isinstance(feas, BoxSet) and np.all(feas.lows == feas.highs):
         # subdifferential is a single point: the dual is fully determined
         y = feas.lows.copy()
@@ -275,8 +276,8 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     report = _report(loss, lam, spec.seed, "nonsmooth-restricted", x_star, residual, True,
                      res, alpha, zero_order(sketch.q_s, alpha), x1,
                      (time.perf_counter() - t0) * 1e3)
-    report.converged = plain.converged and res.converged
+    report.converged = plain.converged and res.converged and reference_ok
     return NonsmoothRecovery(
         report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
-        partition=partition, rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),
+        rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),
     )

@@ -3,8 +3,9 @@
 Each model carries the constants the recovery bounds need (gradient-smoothness
 for the smooth family, a Lipschitz constant for the non-smooth one) and enough
 Fenchel-conjugate structure to state the dual programs exactly.  The family is
-closed-world on purpose: conjugates, conjugate domains and subdifferential
-partitions are all exact.
+closed-world on purpose: conjugates, conjugate domains and subdifferentials
+are all exact, and each non-smooth loss returns the last two as the feasible
+sets of its dual programs, with their Euclidean projections.
 """
 
 from __future__ import annotations
@@ -45,27 +46,89 @@ def _check_signs(y) -> np.ndarray:
     return y
 
 
+# ---------------------------------------------------------------------------
+# Euclidean projections and the feasible sets of the dual programs
+
+
+def project_box(v, lows, highs) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    if np.any(lows > highs):
+        raise ValueError("box is empty: some low exceeds its high")
+    return np.clip(v, lows, highs)
+
+
+def _project_simplex(v, radius):
+    # Euclidean projection onto {u >= 0, sum u = radius}, sort-and-threshold
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - radius
+    idx = np.arange(1, v.size + 1)
+    rho = np.nonzero(u * idx > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def project_scaled_simplex(v, signs, radius: float) -> np.ndarray:
+    """Projection onto {signs * u : u >= 0, sum(u) = radius}."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    v = np.asarray(v, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    return signs * _project_simplex(signs * v, radius)
+
+
+def project_l1_ball(v, radius: float = 1.0) -> np.ndarray:
+    """Projection onto {y : ||y||_1 <= radius}."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    v = np.asarray(v, dtype=float)
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    return np.sign(v) * _project_simplex(a, radius)
+
+
 @dataclass(frozen=True)
-class SubgradientPartition:
-    """Coordinatewise structure of a subdifferential at a point.
+class BoxSet:
+    """{y : lows <= y <= highs}; a coordinate with low == high is pinned."""
 
-    For the separable losses (L1, hinge) every coordinate is either fixed to a
-    single value or free within a closed interval.  For the max-type loss the
-    subdifferential is the convex hull of signed canonical vectors on the
-    ``active`` index set; non-active coordinates are fixed at zero.
-    """
+    lows: np.ndarray
+    highs: np.ndarray
 
-    kind: str
-    fixed_mask: np.ndarray
-    fixed_values: np.ndarray
-    free_low: np.ndarray
-    free_high: np.ndarray
-    active: np.ndarray | None = None
-    signs: np.ndarray | None = None
+    def project(self, v):
+        return project_box(v, self.lows, self.highs)
 
-    @property
-    def n_free(self) -> int:
-        return int(np.count_nonzero(~self.fixed_mask))
+    def contains(self, z, tol: float) -> bool:
+        return bool(np.all(z >= self.lows - tol) and np.all(z <= self.highs + tol))
+
+
+@dataclass(frozen=True)
+class SimplexFaceSet:
+    """{signs * u : u >= 0 supported on signs != 0, sum u = radius}"""
+
+    signs: np.ndarray
+    radius: float = 1.0
+
+    def project(self, v):
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        sup = np.flatnonzero(self.signs)
+        if sup.size == 0:
+            raise ValueError("simplex face has empty support")
+        out[sup] = project_scaled_simplex(v[sup], self.signs[sup], self.radius)
+        return out
+
+
+@dataclass(frozen=True)
+class L1BallSet:
+    radius: float = 1.0
+
+    def project(self, v):
+        return project_l1_ball(v, self.radius)
+
+    def contains(self, z, tol: float) -> bool:
+        return bool(np.abs(z).sum() <= self.radius + tol)
 
 
 class _LossBase:
@@ -93,21 +156,35 @@ class SmoothLoss(_LossBase):
 
 
 class NonSmoothLoss(_LossBase):
-    """Convex Lipschitz loss with exact subdifferential bookkeeping."""
+    """Convex Lipschitz loss with f*(z) = z @ b on its conjugate domain, the
+    feasible set of the plain dual; the restricted dual's is the subdifferential."""
 
     smooth = False
     lipschitz: float
 
-    def conjugate_value(self, z, tol: float | None = None) -> float:
+    def conjugate_domain(self):
         raise NotImplementedError
 
-    def subgradient_partition(self, w, tie_tolerance: float | None = None) -> SubgradientPartition:
+    def subgradient_partition(self, w):
+        """The subdifferential at ``w`` as a subset of the conjugate domain,
+        with ties to a kink decided by :func:`default_tie_tolerance`."""
         raise NotImplementedError
+
+    def conjugate_value(self, z) -> float:
+        z = _check_vector(z, self.n)
+        if self.conjugate_domain().contains(z, default_tie_tolerance(z)):
+            return float(z @ self.b)
+        return np.inf
 
     def arbitrary_subgradient(self, w) -> np.ndarray:
-        """Deterministic cheap selection: midpoints of free intervals, or the
-        first active coordinate for the max-type loss."""
-        raise NotImplementedError
+        """Deterministic cheap selection: the midpoint of the subdifferential box."""
+        box = self.subgradient_partition(w)
+        return 0.5 * (box.lows + box.highs)
+
+    def _pinned(self, pinned, values) -> BoxSet:
+        # the conjugate-domain box with the coordinates in ``pinned`` fixed at ``values``
+        dom = self.conjugate_domain()
+        return BoxSet(np.where(pinned, values, dom.lows), np.where(pinned, values, dom.highs))
 
 
 class QuadraticLoss(SmoothLoss):
@@ -133,7 +210,7 @@ class QuadraticLoss(SmoothLoss):
         _check_vector(w, self.n)
         return np.ones(self.n)
 
-    def conjugate_value(self, z, tol: float | None = None):
+    def conjugate_value(self, z):
         z = _check_vector(z, self.n)
         return 0.5 * float(z @ z) + float(z @ self.b)
 
@@ -194,10 +271,6 @@ class ReluTypeLoss(SmoothLoss):
         return (w > 0.0).astype(float) / self.n
 
 
-def _conjugate_tol(z, tol):
-    return 1e-7 * (1.0 + float(np.max(np.abs(z), initial=0.0))) if tol is None else tol
-
-
 class L1Loss(NonSmoothLoss):
     """f(w) = ||w - b||_1; conjugate domain is the unit sup-norm box."""
 
@@ -212,28 +285,14 @@ class L1Loss(NonSmoothLoss):
         w = _check_vector(w, self.n)
         return float(np.abs(w - self.b).sum())
 
-    def conjugate_value(self, z, tol: float | None = None):
-        z = _check_vector(z, self.n)
-        if np.max(np.abs(z), initial=0.0) > 1.0 + _conjugate_tol(z, tol):
-            return np.inf
-        return float(z @ self.b)
+    def conjugate_domain(self):
+        return BoxSet(-np.ones(self.n), np.ones(self.n))
 
-    def subgradient_partition(self, w, tie_tolerance=None):
+    def subgradient_partition(self, w):
+        """A box: sign(w - b) off the kinks, [-1, 1] on them."""
         w = _check_vector(w, self.n)
-        tol = default_tie_tolerance(w) if tie_tolerance is None else tie_tolerance
         r = w - self.b
-        fixed = np.abs(r) > tol
-        return SubgradientPartition(
-            kind=self.kind,
-            fixed_mask=fixed,
-            fixed_values=np.where(fixed, np.sign(r), 0.0),
-            free_low=np.where(fixed, 0.0, -1.0),
-            free_high=np.where(fixed, 0.0, 1.0),
-        )
-
-    def arbitrary_subgradient(self, w):
-        p = self.subgradient_partition(w)
-        return p.fixed_values + (1 - p.fixed_mask) * 0.5 * (p.free_low + p.free_high)
+        return self._pinned(np.abs(r) > default_tie_tolerance(w), np.sign(r))
 
 
 class HingeLoss(NonSmoothLoss):
@@ -250,34 +309,17 @@ class HingeLoss(NonSmoothLoss):
         w = _check_vector(w, self.n)
         return float(np.maximum(0.0, 1.0 - w * self.b).sum())
 
-    def conjugate_value(self, z, tol: float | None = None):
-        z = _check_vector(z, self.n)
-        t = self.b * z
-        eps = _conjugate_tol(z, tol)
-        if np.any(t > eps) or np.any(t < -1.0 - eps):
-            return np.inf
-        return float(z @ self.b)
+    def conjugate_domain(self):
+        # the interval [0, -b_i] sorted per coordinate
+        return BoxSet(np.minimum(0.0, -self.b), np.maximum(0.0, -self.b))
 
-    def subgradient_partition(self, w, tie_tolerance=None):
+    def subgradient_partition(self, w):
+        """A box: -b where the margin is violated, 0 where it holds strictly,
+        the interval [0, -b] on the margin."""
         w = _check_vector(w, self.n)
-        tol = default_tie_tolerance(w) if tie_tolerance is None else tie_tolerance
+        tol = default_tie_tolerance(w)
         margin = 1.0 - w * self.b
-        lo_iv = np.minimum(0.0, -self.b)  # interval [0, -b] sorted per coordinate
-        hi_iv = np.maximum(0.0, -self.b)
-        fixed = np.abs(margin) > tol
-        values = np.where(margin > tol, -self.b, 0.0)
-        return SubgradientPartition(
-            kind=self.kind,
-            fixed_mask=fixed,
-            fixed_values=np.where(fixed, values, 0.0),
-            free_low=np.where(fixed, 0.0, lo_iv),
-            free_high=np.where(fixed, 0.0, hi_iv),
-        )
-
-    def arbitrary_subgradient(self, w):
-        p = self.subgradient_partition(w)
-        mid = 0.5 * (p.free_low + p.free_high)  # -b/2 on tied coordinates
-        return p.fixed_values + (1 - p.fixed_mask) * mid
+        return self._pinned(np.abs(margin) > tol, np.where(margin > tol, -self.b, 0.0))
 
 
 class LinfLoss(NonSmoothLoss):
@@ -294,33 +336,31 @@ class LinfLoss(NonSmoothLoss):
         w = _check_vector(w, self.n)
         return float(np.max(np.abs(w - self.b)))
 
-    def conjugate_value(self, z, tol: float | None = None):
-        z = _check_vector(z, self.n)
-        if np.abs(z).sum() > 1.0 + _conjugate_tol(z, tol):
-            return np.inf
-        return float(z @ self.b)
+    def conjugate_domain(self):
+        return L1BallSet(1.0)
 
-    def subgradient_partition(self, w, tie_tolerance=None):
+    def _active(self, w):
+        # the coordinates of w - b that tie for the largest magnitude, and the signs of w - b
         w = _check_vector(w, self.n)
-        tol = default_tie_tolerance(w) if tie_tolerance is None else tie_tolerance
         r = w - self.b
         top = float(np.max(np.abs(r)))
-        active_mask = np.abs(r) >= top - tol
-        active = np.flatnonzero(active_mask)
-        return SubgradientPartition(
-            kind=self.kind,
-            fixed_mask=~active_mask,
-            fixed_values=np.zeros(self.n),
-            free_low=np.zeros(self.n),
-            free_high=np.zeros(self.n),
-            active=active,
-            signs=np.sign(r[active]),
-        )
+        return np.abs(r) >= top - default_tie_tolerance(w), np.sign(r)
+
+    def subgradient_partition(self, w):
+        """The simplex face of the signed active coordinates, or the whole
+        conjugate domain when the residual is identically zero."""
+        active, signs = self._active(w)
+        signs = np.where(active, signs, 0.0)
+        if not np.any(signs):
+            return self.conjugate_domain()
+        return SimplexFaceSet(signs, 1.0)
 
     def arbitrary_subgradient(self, w):
-        p = self.subgradient_partition(w)
+        """The first active coordinate, with its sign."""
+        active, signs = self._active(w)
+        first = int(np.argmax(active))
         g = np.zeros(self.n)
-        g[p.active[0]] = p.signs[0]
+        g[first] = signs[first]
         return g
 
 

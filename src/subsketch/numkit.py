@@ -13,8 +13,8 @@ The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
 Importing this module holds scipy's pool at one thread for the whole process,
 because the spinning workers of two multi-threaded pools compete for the same
 cores and slow numpy's work down.  The package's scipy BLAS work is small and
-serial: L-BFGS-B with 30 corrections in the non-smooth dual, ``dstebz`` on a
-k x k tridiagonal here, and the rare ``gesvd`` fallback of :func:`thin_svd`.
+serial: L-BFGS-B at its default 10 corrections in the non-smooth dual, ``dstebz``
+on a k x k tridiagonal here, and the rare ``gesvd`` fallback of :func:`thin_svd`.
 numpy's pool keeps following ``OPENBLAS_NUM_THREADS``.
 """
 

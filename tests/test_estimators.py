@@ -125,6 +125,20 @@ class TestAdaptiveRecovery:
         assert not rep.condition_ok
         assert np.isfinite(rep.rel_err_x1)
 
+    def test_unconverged_reference_is_reported(self):
+        # the instance of `recover --n 16 --d 24 --loss logistic --m 4 --seed 3`:
+        # four Newton steps solve the sketched program but not the reference
+        from subsketch import harness
+
+        config = harness.parse_config("recover --n 16 --d 24 --loss logistic --m 4 --seed 3".split())
+        A, _, loss = harness.build_instance(config)
+        opts = SolveOptions(max_iters=4)
+        spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=SeededRng(3).derive(0, 0))
+        reference = solve_primal_reference(A, loss, 0.01, opts)
+        assert not reference.converged
+        assert recover_whitened(A, loss, 0.01, spec, opts, x_star=reference.minimizer).converged
+        assert not recover_whitened(A, loss, 0.01, spec, opts).converged
+
     def test_whitened_and_raw_regularizers_agree(self):
         # zero- and first-order estimators are invariant to whitening
         from subsketch.solvers import solve_sketched, solve_sketched_raw
@@ -260,9 +274,8 @@ class TestNonsmoothRecovery:
         loss = make_loss("l1", b=b)
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(1))
         out = recover_nonsmooth(A, loss, 1.0, spec)
-        assert out.partition.n_free == 0
         assert out.report.iterations == 0
-        assert np.array_equal(out.y_star, out.partition.fixed_values)
+        assert np.array_equal(out.y_star, -np.ones(10))  # sign(w - b) on every coordinate
 
     def test_reference_solve_uses_the_given_options(self, monkeypatch):
         seen = []
@@ -299,6 +312,23 @@ class TestNonsmoothRecovery:
             monkeypatch.setattr(estimators, "solve_dual_projected", solve_with_status)
             assert not recover_nonsmooth(A, loss, 1.0, spec).report.converged
             assert next(statuses, None) is None  # both solves ran
+
+    def test_report_converged_needs_the_reference_solve(self, monkeypatch):
+        reference = estimators.solve_nonsmooth_primal_reference
+
+        def unconverged(*args):
+            x_star, res = reference(*args)
+            res.converged = False
+            return x_star, res
+
+        base = SeededRng(27)
+        A, _ = synth_matrix(12, 18, SpectrumSpec(EXPONENTIAL, nu=0.5), base.derive(0))
+        loss = make_loss("l1", b=base.derive(1).generator().standard_normal(12))
+        spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(2))
+        x_star, _ = reference(A, loss, 1.0)
+        monkeypatch.setattr(estimators, "solve_nonsmooth_primal_reference", unconverged)
+        assert recover_nonsmooth(A, loss, 1.0, spec, x_star=x_star).report.converged
+        assert not recover_nonsmooth(A, loss, 1.0, spec).report.converged
 
     def test_rejects_plain_oblivious_spec(self):
         A = np.eye(3)

@@ -11,6 +11,7 @@ from subsketch.losses import (
     LogisticLoss,
     QuadraticLoss,
     ReluTypeLoss,
+    SimplexFaceSet,
     default_tie_tolerance,
     make_loss,
 )
@@ -138,33 +139,82 @@ class TestPartitions:
         b = np.array([1.0, -1.0])
         loss = HingeLoss(b)
         w = np.array([1.0, 0.5])  # first coordinate exactly on the margin
-        p = loss.subgradient_partition(w)
-        assert not p.fixed_mask[0]
-        assert (p.free_low[0], p.free_high[0]) == (-1.0, 0.0)  # interval [0, -b] sorted
-        assert p.fixed_mask[1] and p.fixed_values[1] == 1.0  # margin violated: -b = 1
+        box = loss.subgradient_partition(w)
+        assert (box.lows[0], box.highs[0]) == (-1.0, 0.0)  # interval [0, -b] sorted
+        assert box.lows[1] == box.highs[1] == 1.0  # margin violated: -b = 1
 
     def test_l1_no_ties_all_fixed(self):
         b = np.array([0.3, -0.4])
         loss = L1Loss(b)
-        p = loss.subgradient_partition(b + np.array([2.0, -3.0]))
-        assert p.fixed_mask.all()
-        assert np.array_equal(p.fixed_values, [1.0, -1.0])
+        box = loss.subgradient_partition(b + np.array([2.0, -3.0]))
+        assert np.array_equal(box.lows, [1.0, -1.0])
+        assert np.array_equal(box.highs, [1.0, -1.0])
 
     def test_linf_two_way_tie(self):
         b = np.zeros(3)
         loss = LinfLoss(b)
-        p = loss.subgradient_partition(np.array([5.0, 5.0, 1.0]), tie_tolerance=1e-8)
-        assert np.array_equal(p.active, [0, 1])
-        assert np.array_equal(p.signs, [1.0, 1.0])
+        face = loss.subgradient_partition(np.array([5.0, 5.0, 1.0]))
+        assert isinstance(face, SimplexFaceSet)
+        assert np.array_equal(face.signs, [1.0, 1.0, 0.0])
+        # a zero residual leaves the whole conjugate domain
+        assert loss.subgradient_partition(b.copy()) == loss.conjugate_domain()
 
     def test_partition_covers_coordinates(self):
         gen = SeededRng(8).generator()
         b = gen.standard_normal(10)
         w = gen.standard_normal(10)
         w[3] = b[3]  # force one tie
-        p = L1Loss(b).subgradient_partition(w)
-        assert not p.fixed_mask[3]
-        assert p.fixed_mask.sum() + p.n_free == 10
+        box = L1Loss(b).subgradient_partition(w)
+        assert (box.lows[3], box.highs[3]) == (-1.0, 1.0)
+        pinned = box.lows == box.highs
+        assert pinned.sum() == 9 and not pinned[3]
+
+    @pytest.mark.parametrize("name", ["l1", "linf", "hinge"])
+    def test_every_point_of_the_set_is_a_subgradient(self, name):
+        n = 7
+        gen = SeededRng(30).generator()
+        b = _labels(n, seed=31) if name == "hinge" else gen.standard_normal(n)
+        loss = make_loss(name, b=b)
+        for trial in range(40):
+            w = gen.standard_normal(n)
+            kink = gen.random(n) < 0.4  # coordinates put exactly on a kink
+            if trial == 0:
+                w = b.copy()  # every coordinate on its kink
+            elif name == "l1":
+                w[kink] = b[kink]
+            elif name == "hinge":
+                w[kink] = b[kink]  # margin 1 - w b = 0 for labels +/-1
+            else:  # tie the chosen coordinates at the largest residual
+                r = w - b
+                top = np.abs(r).max()
+                w[kink] = b[kink] + np.where(r[kink] < 0, -top, top)
+            feasible = loss.subgradient_partition(w)
+            for _ in range(10):
+                g = feasible.project(2.0 * gen.standard_normal(n))
+                assert abs(loss.value(w) + loss.conjugate_value(g) - g @ w) <= 1e-8
+                for v in (gen.standard_normal(n), w + 1e-3 * gen.standard_normal(n)):
+                    assert loss.value(v) >= loss.value(w) + g @ (v - w) - 1e-8
+
+    @pytest.mark.parametrize("name", ["l1", "linf", "hinge"])
+    def test_conjugate_finite_exactly_on_the_domain(self, name):
+        n = 5
+        gen = SeededRng(32).generator()
+        b = _labels(n, seed=33) if name == "hinge" else gen.standard_normal(n)
+        loss = make_loss(name, b=b)
+        # a boundary point of the domain, from the definition of each conjugate
+        edge = {"l1": np.ones(n), "hinge": -b, "linf": np.full(n, 1.0 / n)}[name]
+        assert np.isfinite(loss.conjugate_value((1.0 - 1e-6) * edge))
+        assert loss.conjugate_value((1.0 + 1e-6) * edge) == np.inf
+        domain = loss.conjugate_domain()
+        seen = set()
+        for _ in range(200):
+            # a point of the domain, scaled to land just inside or just outside it
+            z = domain.project(2.0 * gen.standard_normal(n))
+            z *= 1.0 + gen.choice([-1e-6, -1e-8, 0.0, 1e-8, 1e-6, 0.5])
+            inside = domain.contains(z, default_tie_tolerance(z))
+            assert np.isfinite(loss.conjugate_value(z)) == inside
+            seen.add(inside)
+        assert seen == {True, False}
 
 
 class TestArbitrarySubgradient:

@@ -9,19 +9,20 @@ from oracles import (
     simplex_projection_bisection,
 )
 from subsketch.embeddings import ADAPTIVE_GAUSSIAN, EmbeddingSpec, build_sketch
-from subsketch.losses import make_loss
-from subsketch.numkit import SeededRng, thin_svd
-from subsketch.solvers import (
+from subsketch.losses import (
     BoxSet,
     L1BallSet,
     SimplexFaceSet,
-    SolveOptions,
-    _newton_step_direct,
-    _newton_step_dual_space,
-    conjugate_feasible_set,
+    make_loss,
     project_box,
     project_l1_ball,
     project_scaled_simplex,
+)
+from subsketch.numkit import SeededRng, thin_svd
+from subsketch.solvers import (
+    SolveOptions,
+    _newton_step_direct,
+    _newton_step_dual_space,
     solve_dual_projected,
     solve_nonsmooth_primal_reference,
     solve_primal_reference,
@@ -236,7 +237,7 @@ class TestDualProjected:
         b = gen.standard_normal(6)
         B = gen.standard_normal((4, 6))
         loss = make_loss("l1", b=b)
-        feas = conjugate_feasible_set(loss)
+        feas = loss.conjugate_domain()
         res = solve_dual_projected(B, b, 1e12, feas,
                                    SolveOptions(grad_tolerance=1e-10, max_iters=10_000))
         assert np.allclose(res.minimizer, -np.sign(b), atol=1e-6)
@@ -252,7 +253,7 @@ class TestDualProjected:
             return y @ b + np.linalg.norm(B @ y) ** 2 / (2 * lam)
 
         _, oracle_val = nested_grid_minimize(objective, [-1, -1], [1, 1], rounds=12, pts=61)
-        res = solve_dual_projected(B, b, lam, conjugate_feasible_set(loss),
+        res = solve_dual_projected(B, b, lam, loss.conjugate_domain(),
                                    SolveOptions(grad_tolerance=1e-12, max_iters=50_000))
         assert res.objective <= oracle_val + 1e-8
 
@@ -269,7 +270,7 @@ class TestDualProjected:
         b = gen.standard_normal(20)
         loss = make_loss("l1", b=b)
         trace = []
-        solve_dual_projected(B, b, 0.05, conjugate_feasible_set(loss),
+        solve_dual_projected(B, b, 0.05, loss.conjugate_domain(),
                              SolveOptions(grad_tolerance=1e-12, max_iters=5_000),
                              polish=False, callback=lambda it, obj: trace.append(obj))
         assert len(trace) >= 10
@@ -309,7 +310,7 @@ class TestDualProjected:
         A = gen.standard_normal((30, 8)) / np.sqrt(30)
         target = gen.standard_normal(30)
         loss = make_loss(loss_name, b=np.sign(target) if loss_name == "hinge" else target)
-        feas = conjugate_feasible_set(loss)
+        feas = loss.conjugate_domain()
         assert isinstance(feas, BoxSet)
         solve_dual_projected(A.T, loss.b, 0.1, feas,
                              SolveOptions(grad_tolerance=1e-9, max_iters=1_000))
