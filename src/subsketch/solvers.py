@@ -5,10 +5,12 @@ of the regularized Hessian in numpy's LAPACK: scipy bundles a second OpenBLAS
 with its own thread pool, and handing each step between the two costs more
 than the arithmetic).  The non-smooth losses are handled entirely through their
 Fenchel duals, convex quadratics over the feasible set each loss hands over (a
-box, a signed simplex face or the L1 ball), solved exactly on active sets first
-and every 200 iterations of fixed-step projected gradient.  Box and simplex-face
-duals need no more: on the ``nonsmooth-dual`` benchmark (seed 42) each returns
-after 0 projected-gradient iterations.
+box, a signed simplex face or the L1 ball).  One primal active-set routine
+finishes all three, as bounds plus at most one equality (the ball through its
+lifting to a simplex); it runs first, and then every 200 iterations of the
+fixed-step projected gradient that remains as the fallback.  On the
+``nonsmooth-dual`` benchmark (seed 42) every dual, the L1 ball's included,
+returns after 0 projected-gradient iterations.
 
 The box duals' accelerator is scipy's L-BFGS-B, whose own BLAS work is small
 and serial; it runs in scipy's OpenBLAS pool, which :mod:`subsketch.numkit`
@@ -203,54 +205,12 @@ def _dual_objective(y, By, b_linear, lam):
     return float(y @ b_linear) + float(By @ By) / (2.0 * lam)
 
 
-def _line_searched_move(B, b_linear, lam, y, By, cand):
-    """Exact minimization of the quadratic objective along [y, cand]; returns
-    the new point (never worse than y)."""
-    dy = cand - y
-    Bd = B @ dy
-    q = float(Bd @ Bd) / lam
-    slope = float(b_linear @ dy) + float(By @ Bd) / lam
-    if q <= 0.0:
-        theta = 1.0 if slope < 0 else 0.0
-    else:
-        theta = min(max(-slope / q, 0.0), 1.0)
-    if theta == 0.0:
-        return y, By
-    return y + theta * dy, By + theta * Bd
-
-
-def _face_rounds_box(B, b_linear, lam, lows, highs, y, By, rounds=30):
-    """Repeated exact solves on the currently pinned box face, moved into by
-    exact line search; descends monotonically and lands on the optimum once
-    the face is identified."""
-    for _ in range(rounds):
-        grad = b_linear + (B.T @ By) / lam
-        at_low = y <= lows + 1e-12 * (1.0 + np.abs(lows))
-        at_high = y >= highs - 1e-12 * (1.0 + np.abs(highs))
-        pinned = (at_low & (grad > 0)) | (at_high & (grad < 0)) | (lows == highs)
-        free = np.flatnonzero(~pinned)
-        if free.size == 0:
-            break
-        Bf = B[:, free]
-        img_fixed = By - Bf @ y[free]
-        rhs = -(lam * b_linear[free] + Bf.T @ img_fixed)
-        sol = np.linalg.lstsq(Bf.T @ Bf, rhs, rcond=None)[0]
-        cand = y.copy()
-        cand[free] = np.clip(sol, lows[free], highs[free])
-        y_new, By_new = _line_searched_move(B, b_linear, lam, y, By, cand)
-        if np.array_equal(y_new, y):
-            break
-        y, By = y_new, By_new
-    return y, By
-
-
 def _lbfgsb_box(B, b_linear, lam, lows, highs, y0):
     from scipy.optimize import minimize
 
     def fun_grad(y):
         By = B @ y
-        return (float(y @ b_linear) + float(By @ By) / (2.0 * lam),
-                b_linear + (B.T @ By) / lam)
+        return _dual_objective(y, By, b_linear, lam), b_linear + (B.T @ By) / lam
 
     res = minimize(fun_grad, y0, jac=True, method="L-BFGS-B",
                    bounds=np.column_stack([lows, highs]),
@@ -258,126 +218,99 @@ def _lbfgsb_box(B, b_linear, lam, lows, highs, y0):
     return res.x
 
 
-def _solve_simplex_face(B, b_linear, lam, signs, radius, y, By, max_rounds=None):
-    """Active-set solve of the quadratic over {signs * u : u >= 0, sum u = radius}.
+def _active_set(B, b_linear, lam, lows, highs, y, a=None):
+    """Primal active-set solve of min b.y + ||B y||^2 / (2 lam) over
+    ``lows <= y <= highs``, with ``a.y`` held at its value at the feasible start
+    ``y`` when ``a`` is given.
 
-    Solves the equality-constrained KKT system on the working set, moves by
-    exact line search (dropping coordinates driven negative), and enters the
-    off-set coordinate that most violates the multiplier condition.  Returns
-    the new iterate; monotone by construction.
+    Each round solves the KKT system of the free coordinates by least squares.
+    A singular face whose system has no solution is descended along the
+    residual instead, a direction of zero curvature.  The step goes as far as
+    the bounds allow, and the coordinate that blocks it is pinned; after a full
+    step the pinned coordinate whose multiplier has the wrong sign is freed.
+    Stops when no multiplier has the wrong sign, or after 2 len(y) + 20 rounds.
     """
-    sup = np.flatnonzero(signs)
-    if sup.size == 0:
-        return y, By
-    if max_rounds is None:
-        max_rounds = 4 * sup.size + 20
-    u = signs[sup] * y[sup]
-    active = np.flatnonzero(u > 1e-14 * radius)
-    if active.size == 0:
-        active = np.array([int(np.argmax(-signs[sup] * (b_linear[sup])))])
-        # feasible start: all mass on one active coordinate
-        y = np.zeros_like(y)
-        y[sup[active[0]]] = signs[sup[active[0]]] * radius
-        By = B @ y
-    for _ in range(max_rounds):
-        idx = sup[active]
-        s_a = signs[idx]
-        Bu = B[:, idx] * s_a
-        k = idx.size
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = (Bu.T @ Bu) / lam
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.concatenate([-(s_a * b_linear[idx]), [radius]])
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        u_cand = sol[:k]
-        cand = np.zeros_like(y)
-        cand[idx] = s_a * np.maximum(u_cand, 0.0)
-        if np.any(u_cand < 0):
-            # partial move to the first coordinate hitting zero, then drop it
-            u_cur = s_a * y[idx]
-            shrink = u_cur - u_cand
+    y = np.array(y, dtype=float)
+    near = 1e-12 * (1.0 + np.abs(y))
+    side = np.where(y - lows <= near, -1, np.where(highs - y <= near, 1, 0))
+    y = np.where(side < 0, lows, np.where(side > 0, highs, y))
+    g = b_linear + (B.T @ (B @ y)) / lam
+    for _ in range(2 * y.size + 20):
+        free = np.flatnonzero(side == 0)
+        if free.size:
+            Bf = B[:, free]
+            K = (Bf.T @ Bf) / lam
+            rhs = -g[free]
+            if a is not None:  # the equality row scaled to the Hessian's, for the least squares
+                c = float(np.abs(K).max()) or 1.0
+                K = np.block([[K, c * a[free, None]], [c * a[None, free], np.zeros((1, 1))]])
+                rhs = np.append(rhs, 0.0)
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            resid = rhs - K @ sol
+            if resid @ resid > 1e-16 * (rhs @ rhs):
+                d = resid[:free.size]
+                Bd = Bf @ d
+                curv = float(Bd @ Bd)
+                t_full = -lam * float(g[free] @ d) / curv if curv > 0 else np.inf
+            else:
+                d, t_full = sol[:free.size], 1.0
+            if a is not None:  # the least-squares solve holds a.d = 0 only to its residual
+                d = d - a[free] * (float(a[free] @ d) / float(a[free] @ a[free]))
             with np.errstate(divide="ignore", invalid="ignore"):
-                thetas = np.where(u_cand < 0, u_cur / np.maximum(shrink, 1e-300), np.inf)
-            theta = float(min(1.0, np.min(thetas)))
-            u_new = np.maximum(u_cur + theta * (u_cand - u_cur), 0.0)
-            y_new = np.zeros_like(y)
-            y_new[idx] = s_a * u_new
-            y, By = y_new, B @ y_new
-            active = active[u_new > 1e-14 * radius]
-            if active.size == 0:
-                break
-            continue
-        y, By = cand, B @ cand
-        active = active[u_cand > 1e-14 * radius]
-        if active.size == 0:
+                t_bound = np.where(d < 0, (lows[free] - y[free]) / d,
+                                   np.where(d > 0, (highs[free] - y[free]) / d, np.inf))
+            j = int(np.argmin(t_bound))
+            blocked = t_bound[j] < t_full
+            if blocked:
+                y[free] += max(t_bound[j], 0.0) * d
+                side[free[j]] = 1 if d[j] > 0 else -1
+                y[free[j]] = highs[free[j]] if d[j] > 0 else lows[free[j]]
+            else:
+                y[free] = np.clip(y[free] + t_full * d, lows[free], highs[free])
+            g = b_linear + (B.T @ (B @ y)) / lam
+            if blocked:
+                continue
+        nu = 0.0
+        if a is not None and free.size:
+            nu = float(a[free] @ g[free]) / float(a[free] @ a[free])
+        mult = g if a is None else g - nu * a
+        wrong = np.where((lows < highs) & (side != 0), side * mult, -np.inf)
+        j = int(np.argmax(wrong))
+        if wrong[j] <= 1e-12 * (1.0 + abs(nu) + float(np.abs(g).max())):
             break
-        # multiplier condition on the dropped support coordinates
-        grad = b_linear + (B.T @ By) / lam
-        act_idx = sup[active]
-        nu = float(np.mean(-signs[act_idx] * grad[act_idx]))
-        g_u = signs[sup] * grad[sup]
-        violations = g_u + nu < -1e-12 * (1.0 + abs(nu))
-        in_active = np.zeros(sup.size, dtype=bool)
-        in_active[active] = True
-        candidates = np.flatnonzero(violations & ~in_active)
-        if candidates.size == 0:
-            break
-        enter = candidates[np.argmin(g_u[candidates])]
-        active = np.sort(np.append(active, enter))
-    return y, By
-
-
-def _solve_l1_ball(B, b_linear, lam, radius, y, By, max_rounds=60):
-    """Active-set solve over the L1 ball: try the unconstrained minimum, else
-    optimize on boundary faces, entering coordinates that violate the
-    subdifferential condition |grad_i| <= nu."""
-    # interior candidate
-    sol = np.linalg.lstsq(B.T @ B, -lam * b_linear, rcond=None)[0]
-    grad_at_sol = b_linear + (B.T @ (B @ sol)) / lam
-    if np.abs(sol).sum() <= radius and np.linalg.norm(grad_at_sol) <= 1e-10 * (
-            1.0 + np.linalg.norm(b_linear)):
-        cand, Bc = _line_searched_move(B, b_linear, lam, y, By, sol)
-        return cand, Bc
-    grad = b_linear + (B.T @ By) / lam
-    signs = np.where(np.abs(y) > 1e-14 * radius, np.sign(y), 0.0)
-    if not np.any(signs):
-        i = int(np.argmax(np.abs(grad)))
-        signs[i] = -np.sign(grad[i])
-    for _ in range(max_rounds):
-        y, By = _solve_simplex_face(B, b_linear, lam, signs, radius, y, By)
-        grad = b_linear + (B.T @ By) / lam
-        on = np.abs(y) > 1e-14 * radius
-        if not np.any(on):
-            break
-        nu = float(np.mean(-np.sign(y[on]) * grad[on]))
-        if nu < -1e-10:
-            break  # boundary multiplier negative: interior handled above
-        off_viol = (np.abs(grad) > nu + 1e-12 * (1.0 + abs(nu))) & ~on
-        if not np.any(off_viol):
-            break
-        j = int(np.argmax(np.abs(grad) * off_viol))
-        signs = np.where(on, np.sign(y), 0.0)
-        signs[j] = -np.sign(grad[j])
-    return y, By
+        side[j] = 0
+    return y
 
 
 def _accelerate(B, b_linear, lam, feas, y, By):
-    """Gated accelerator: exact active-set solves for the supported feasible
-    sets; never increases the objective."""
-    obj0 = _dual_objective(y, By, b_linear, lam)
+    """Gated accelerator: the exact active-set solve over the feasible set,
+    accepted only when it does not increase the objective.
+
+    The box starts from bounded quasi-Newton.  A simplex face is the box of
+    its signs with the sum pinned.  The L1 ball of radius r is the image of
+    the simplex {z >= 0, sum z = r} in 2n + 1 coordinates under
+    y = z[:n] - z[n:2n]; z[2n] is the slack, which covers an interior optimum.
+    """
     if isinstance(feas, BoxSet):
-        cand = _lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y)
-        cand = feas.project(cand)
-        y1, By1 = _line_searched_move(B, b_linear, lam, y, By, cand)
-        y1, By1 = _face_rounds_box(B, b_linear, lam, feas.lows, feas.highs, y1, By1)
+        start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
+        y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
     elif isinstance(feas, SimplexFaceSet):
-        y1, By1 = _solve_simplex_face(B, b_linear, lam, feas.signs, feas.radius, y, By)
+        s = feas.signs
+        y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
+                         np.where(s > 0, np.inf, 0.0), y, s)
     elif isinstance(feas, L1BallSet):
-        y1, By1 = _solve_l1_ball(B, b_linear, lam, feas.radius, y, By)
+        n = y.size
+        z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
+                        np.concatenate([b_linear, -b_linear, [0.0]]), lam,
+                        np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
+                        np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
+                                        [feas.radius - np.abs(y).sum()]]),
+                        np.ones(2 * n + 1))
+        y1 = z[:n] - z[n:2 * n]
     else:
         return y, By
-    if _dual_objective(y1, By1, b_linear, lam) <= obj0:
+    By1 = B @ y1
+    if _dual_objective(y1, By1, b_linear, lam) <= _dual_objective(y, By, b_linear, lam):
         return y1, By1
     return y, By
 
@@ -389,12 +322,13 @@ def solve_dual_projected(B, b_linear, lam: float, feasible_set,
     gradient with the fixed step 1/Lip.
 
     On the closed-world losses f* reduces to the linear term ``b_linear @ y``
-    plus the indicator of the set.  With ``polish`` enabled, an exact
-    active-set accelerator (bounded quasi-Newton plus face solves) runs before
-    and periodically between the projected-gradient iterations; accelerator
-    output is accepted only when it lowers the objective, so descent stays
-    monotone.  Stops when the projected-gradient norm falls below
-    ``grad_tolerance`` relative to its initial value.
+    plus the indicator of the set.  With ``polish`` enabled, the exact
+    active-set finisher (started from bounded quasi-Newton on a box) runs
+    before the first and after every 200th projected-gradient iteration; its
+    output is accepted only when it does not raise the objective, so descent
+    stays monotone.  Usually the finisher alone meets the tolerance and the
+    result reports 0 iterations.  Stops when the projected-gradient norm falls
+    below ``grad_tolerance`` relative to its first value.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")

@@ -2,7 +2,7 @@
 
 One test per criterion; each prints a PASS/FAIL line with the measured margin.
 The two sweep-scale criteria (ordering/slopes and the non-smooth bound) take
-about 35 s and 3 minutes; the whole module runs in about 4 minutes on 2 cores.
+about 35 s and 2 minutes; the whole module runs in about 3 minutes on 2 cores.
 """
 
 import numpy as np
@@ -160,3 +160,23 @@ class TestSweepScaleCertificates:
 
     def test_10_nonsmooth_bound_and_ordering(self):
         _report(certify.nonsmooth_bound_and_ordering())
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_10_nonsmooth_bound_fails_on_an_unconverged_solve(self, monkeypatch, cut):
+        """At a small size, one recovery reported unconverged fails the suite
+        and is counted in its detail line."""
+        recover = certify.recover_nonsmooth
+        calls = []
+
+        def recorded(*args, **kwargs):
+            out = recover(*args, **kwargs)
+            calls.append(out)
+            if cut and len(calls) == 2:
+                out.report.converged = False
+            return out
+
+        monkeypatch.setattr(certify, "recover_nonsmooth", recorded)
+        result = certify.nonsmooth_bound_and_ordering(n=40, d=80, trials=1, ms=(8, 16))
+        assert len(calls) == 6
+        assert result.passed is not cut
+        assert result.detail.endswith(f"; {int(cut)} unconverged solves")

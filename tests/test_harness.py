@@ -17,7 +17,7 @@ from subsketch.harness import (
     write_records,
 )
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
-from subsketch.solvers import SolveOptions
+from subsketch.solvers import SolveOptions, solve_dual_projected
 
 
 class TestParseConfig:
@@ -539,14 +539,18 @@ class TestCli:
         assert ("reference solve did not converge" in capsys.readouterr().err) is not converged
 
     def test_unconverged_nonsmooth_reference_writes_no_rows(self, tmp_path, monkeypatch):
-        """A dual reference cut at one iteration with an unreachable tolerance
-        blocks every row, also when the next run reuses its set-up."""
-        reference = estimators.solve_nonsmooth_primal_reference
+        """A dual reference cut at one projected-gradient iteration with an
+        unreachable tolerance blocks every row, also when the next run reuses
+        its set-up.  The active-set finisher is off: it would land on the
+        optimum exactly and meet any tolerance."""
         calls = []
 
         def truncated(A, loss, lam, opts):
             calls.append(opts)
-            return reference(A, loss, lam, SolveOptions(grad_tolerance=1e-30, max_iters=1))
+            res = solve_dual_projected(A.T, loss.b, lam, loss.conjugate_domain(),
+                                       SolveOptions(grad_tolerance=1e-30, max_iters=1),
+                                       polish=False)
+            return -(A.T @ res.minimizer) / lam, res
 
         monkeypatch.setattr(estimators, "solve_nonsmooth_primal_reference", truncated)
         for run in ("a", "b"):

@@ -8,7 +8,10 @@ from oracles import (
     ridge_solution,
     simplex_projection_bisection,
 )
+from test_golden_outputs import CASES
+from subsketch import estimators, solvers
 from subsketch.embeddings import ADAPTIVE_GAUSSIAN, EmbeddingSpec, build_sketch
+from subsketch.harness import ExperimentConfig, run_experiment
 from subsketch.losses import (
     BoxSet,
     L1BallSet,
@@ -283,14 +286,60 @@ class TestDualProjected:
         assert y[1] == 0.0
         assert abs(np.abs(y).sum() - 1.0) <= 1e-12
 
-    def test_l1_ball_set_interior_optimum(self):
-        # quadratic with consistent linear term: optimum strictly inside the ball
-        B = np.eye(3) * 2.0
-        b = np.array([-0.4, 0.2, 0.0])
-        res = solve_dual_projected(B, b, 1.0, L1BallSet(1.0),
+    @pytest.mark.parametrize("case", ["box", "simplex-face", "l1-ball-boundary",
+                                      "l1-ball-interior"])
+    def test_each_set_is_finished_on_its_kkt_point(self, case):
+        """The active-set finisher lands on the KKT point of every feasible set
+        before any projected-gradient iteration: y is its own projected
+        gradient step, y = P(y - grad)."""
+        gen = SeededRng(22).generator()
+        B = gen.standard_normal((6, 20))
+        b = gen.standard_normal(20)
+        lam = 0.1
+        if case == "box":
+            feas = make_loss("l1", b=b).conjugate_domain()
+        elif case == "simplex-face":
+            feas = SimplexFaceSet(np.where(np.arange(20) % 3 == 0, 0.0, np.sign(b)), 1.0)
+        elif case == "l1-ball-boundary":
+            feas = L1BallSet(1.0)
+        else:
+            # quadratic with consistent linear term: optimum strictly inside the ball
+            B, b, lam = np.eye(3) * 2.0, np.array([-0.4, 0.2, 0.0]), 1.0
+            feas = L1BallSet(1.0)
+        res = solve_dual_projected(B, b, lam, feas,
                                    SolveOptions(grad_tolerance=1e-12, max_iters=20_000))
-        expected = -b / 4.0  # stationarity of b.y + 2 y.y
-        assert np.abs(res.minimizer - expected).max() <= 1e-8
+        y = res.minimizer
+        grad = b + B.T @ (B @ y) / lam
+        assert np.abs(y - feas.project(y - grad)).max() <= 1e-10
+        assert res.iterations == 0 and res.converged
+        if case == "l1-ball-boundary":
+            assert np.abs(y).sum() == pytest.approx(1.0, abs=1e-12)
+        if case == "l1-ball-interior":
+            assert np.abs(y + b / 4.0).max() <= 1e-8  # stationarity of b.y + 2 y.y
+
+    @pytest.mark.parametrize("case", ["seed10-n200", "golden-nonsmooth-linf"])
+    def test_linf_duals_need_no_projected_gradient(self, monkeypatch, tmp_path, case):
+        """Every dual of a linf run, the L1-ball plain duals and reference
+        included, returns from the finisher with no projected-gradient
+        iteration."""
+        solve = solvers.solve_dual_projected
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append((type(args[3]).__name__, solve(*args, **kwargs)))
+            return results[-1][1]
+
+        monkeypatch.setattr(solvers, "solve_dual_projected", recorded)
+        monkeypatch.setattr(estimators, "solve_dual_projected", recorded)
+        if case == "seed10-n200":
+            params = dict(experiment="nonsmooth", n=200, d=400, decay="geom", ratio=0.98,
+                          loss="linf", lam=1e-2, m_list=[16, 32, 64, 128], seed=10)
+        else:
+            params = CASES["nonsmooth-linf"]
+        run_experiment(ExperimentConfig(**params, out_path=str(tmp_path / "run.csv")))
+        assert [kind for kind, _ in results].count("L1BallSet") == len(params["m_list"]) + 1
+        for kind, res in results:
+            assert res.iterations == 0 and res.converged, kind
 
     @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
     def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
