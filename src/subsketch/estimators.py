@@ -61,12 +61,14 @@ class RecoveryReport:
 
 @dataclass
 class NonsmoothRecovery:
-    """Recovery report plus the dual solution, the objective of the plain
-    (unrestricted) dual and the arbitrary-subgradient error."""
+    """Recovery report plus the dual solution, the objective and the
+    projected-gradient iterations of the plain (unrestricted) dual, and the
+    arbitrary-subgradient error."""
 
     report: RecoveryReport
     y_star: np.ndarray
     dual_objective_plain: float
+    dual_iterations_plain: int
     rel_err_arbitrary: float
 
 
@@ -279,5 +281,6 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     report.converged = plain.converged and res.converged and reference_ok
     return NonsmoothRecovery(
         report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
+        dual_iterations_plain=plain.iterations,
         rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),
     )

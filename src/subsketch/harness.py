@@ -403,23 +403,29 @@ _last_setup = (None, None)
 def _setup(config: ExperimentConfig):
     """The instance and reference solve of a config, ``(A, summary, loss, x_star,
     reference_converged)``, reused from the previous call when every input they
-    depend on matches (a config without a reference counts as converged).  A
-    ``kernel`` config's data is the root ``K_h`` of the linear-kernel Gram matrix
-    (``K_h @ K_h.T = A @ A.T``), so its cells solve and measure in root
-    coordinates.  ``A`` and ``x_star`` are read-only, so no cell can change what
-    a later run sees."""
+    depend on matches (a config without a reference counts as converged).  When
+    only the loss differs, the data matrix is kept and only the targets and the
+    reference solve are redone.  A ``kernel`` config's data is the root ``K_h``
+    of the linear-kernel Gram matrix (``K_h @ K_h.T = A @ A.T``), so its cells
+    solve and measure in root coordinates.  ``A`` and ``x_star`` are read-only,
+    so no cell can change what a later run sees."""
     global _last_setup
     kernel = config.experiment == "kernel"
     reference = config.experiment in ("recover", "sweep", "iterative", "nonsmooth", "kernel")
     opts = config.solve_options()
-    key = (config.n, config.d, config.spectrum(), config.seed, config.loss, config.noise_var,
-           config.lam, opts, kernel, reference)
+    key = (config.n, config.d, config.spectrum(), config.seed, config.noise_var,
+           config.lam, opts, kernel, reference, config.loss)
     cached_key, setup = _last_setup
     if cached_key == key:
         return setup
-    del setup
     _last_setup = (None, None)
-    A, summary, loss = build_instance(config)
+    if cached_key is not None and cached_key[:-1] == key[:-1] and not kernel:
+        # same instance, other loss: build_instance's targets, on the kept A
+        A, summary = setup[:2]
+        loss = synth.synth_loss(config.loss, A, SeededRng(config.seed), config.noise_var)
+    else:
+        del setup
+        A, summary, loss = build_instance(config)
     if kernel:
         A = kernelize.kernel_root(kernelize.gram_from_features(A))
     x_star, converged = (estimators._ensure_reference(A, loss, config.lam, opts)

@@ -9,16 +9,15 @@ box, a signed simplex face or the L1 ball).  One primal active-set routine
 finishes all three, as bounds plus at most one equality (the ball through its
 lifting to a simplex); it runs first, and then every 200 iterations of the
 fixed-step projected gradient that remains as the fallback.  On the
-``nonsmooth-dual`` benchmark (seed 42) every dual, the L1 ball's included,
-returns after 0 projected-gradient iterations.
+``nonsmooth-dual`` benchmark (seeds 42 and 7) every dual, the L1 ball's
+included, returns after 0 projected-gradient iterations.
 
-The box duals' accelerator is scipy's L-BFGS-B, whose own BLAS work is small
-and serial; it runs in scipy's OpenBLAS pool, which :mod:`subsketch.numkit`
-holds at one thread so that it does not compete for cores with numpy's pool,
-where the objective's products run.  It keeps scipy's default of 10 correction
-pairs: at n=300, 30 pairs cost more per iteration than they saved in
-iterations (one l1 cell at m=64: 1123 iterations at 199 us against 1198 at
-100 us).
+A box dual starts from scipy's L-BFGS-B, run for a fixed 300 iterations: it
+only has to find the face, which the finisher then solves exactly (at n=1000,
+200 and 250 iterations left faces on which LAPACK's least squares failed).
+L-BFGS-B's BLAS work is small and serial; it runs in scipy's OpenBLAS pool,
+which :mod:`subsketch.numkit` holds at one thread so that it does not compete
+for cores with numpy's pool.  It keeps scipy's default of 10 correction pairs.
 """
 
 from __future__ import annotations
@@ -212,9 +211,10 @@ def _lbfgsb_box(B, b_linear, lam, lows, highs, y0):
         By = B @ y
         return _dual_objective(y, By, b_linear, lam), b_linear + (B.T @ By) / lam
 
+    # 300 iterations find the face that the finisher solves (module docstring)
     res = minimize(fun_grad, y0, jac=True, method="L-BFGS-B",
                    bounds=np.column_stack([lows, highs]),
-                   options={"maxiter": 20_000, "ftol": 1e-18, "gtol": 1e-14})
+                   options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
     return res.x
 
 
@@ -223,12 +223,13 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
     ``lows <= y <= highs``, with ``a.y`` held at its value at the feasible start
     ``y`` when ``a`` is given.
 
-    Each round solves the KKT system of the free coordinates by least squares.
-    A singular face whose system has no solution is descended along the
-    residual instead, a direction of zero curvature.  The step goes as far as
-    the bounds allow, and the coordinate that blocks it is pinned; after a full
-    step the pinned coordinate whose multiplier has the wrong sign is freed.
-    Stops when no multiplier has the wrong sign, or after 2 len(y) + 20 rounds.
+    Each round solves the KKT system of the free coordinates, by LU when that
+    leaves a relative residual of at most 1e-12, else by least squares.  A
+    singular face whose system has no solution is descended along the residual,
+    a direction of zero curvature, and then solved again.  The step goes as far
+    as the bounds allow, and the coordinate that blocks it is pinned; after a
+    full Newton step the pinned coordinate whose multiplier has the wrong sign
+    is freed, until none has, for at most 2 len(y) + 20 rounds.
     """
     y = np.array(y, dtype=float)
     near = 1e-12 * (1.0 + np.abs(y))
@@ -245,16 +246,24 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
                 c = float(np.abs(K).max()) or 1.0
                 K = np.block([[K, c * a[free, None]], [c * a[None, free], np.zeros((1, 1))]])
                 rhs = np.append(rhs, 0.0)
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            resid = rhs - K @ sol
-            if resid @ resid > 1e-16 * (rhs @ rhs):
+            try:  # LU in numpy's LAPACK; least squares if singular or inexact
+                sol = np.linalg.solve(K, rhs)
+                resid = rhs - K @ sol
+                exact = resid @ resid <= 1e-24 * (rhs @ rhs)  # False for a non-finite sol
+            except np.linalg.LinAlgError:
+                exact = False
+            if not exact:
+                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+                resid = rhs - K @ sol
+            solved = resid @ resid <= 1e-16 * (rhs @ rhs)
+            if solved:
+                d, t_full = sol[:free.size], 1.0
+            else:
                 d = resid[:free.size]
                 Bd = Bf @ d
                 curv = float(Bd @ Bd)
                 t_full = -lam * float(g[free] @ d) / curv if curv > 0 else np.inf
-            else:
-                d, t_full = sol[:free.size], 1.0
-            if a is not None:  # the least-squares solve holds a.d = 0 only to its residual
+            if a is not None:  # the face solve holds a.d = 0 only to its residual
                 d = d - a[free] * (float(a[free] @ d) / float(a[free] @ a[free]))
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_bound = np.where(d < 0, (lows[free] - y[free]) / d,
@@ -268,7 +277,7 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
             else:
                 y[free] = np.clip(y[free] + t_full * d, lows[free], highs[free])
             g = b_linear + (B.T @ (B @ y)) / lam
-            if blocked:
+            if blocked or not solved:  # the face is not solved yet
                 continue
         nu = 0.0
         if a is not None and free.size:
@@ -291,23 +300,26 @@ def _accelerate(B, b_linear, lam, feas, y, By):
     the simplex {z >= 0, sum z = r} in 2n + 1 coordinates under
     y = z[:n] - z[n:2n]; z[2n] is the slack, which covers an interior optimum.
     """
-    if isinstance(feas, BoxSet):
-        start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
-        y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
-    elif isinstance(feas, SimplexFaceSet):
-        s = feas.signs
-        y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
-                         np.where(s > 0, np.inf, 0.0), y, s)
-    elif isinstance(feas, L1BallSet):
-        n = y.size
-        z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
-                        np.concatenate([b_linear, -b_linear, [0.0]]), lam,
-                        np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
-                        np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
-                                        [feas.radius - np.abs(y).sum()]]),
-                        np.ones(2 * n + 1))
-        y1 = z[:n] - z[n:2 * n]
-    else:
+    try:
+        if isinstance(feas, BoxSet):
+            start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
+            y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
+        elif isinstance(feas, SimplexFaceSet):
+            s = feas.signs
+            y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
+                             np.where(s > 0, np.inf, 0.0), y, s)
+        elif isinstance(feas, L1BallSet):
+            n = y.size
+            z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
+                            np.concatenate([b_linear, -b_linear, [0.0]]), lam,
+                            np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
+                            np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
+                                            [feas.radius - np.abs(y).sum()]]),
+                            np.ones(2 * n + 1))
+            y1 = z[:n] - z[n:2 * n]
+        else:
+            return y, By
+    except np.linalg.LinAlgError:  # a least-squares face solve that did not converge
         return y, By
     By1 = B @ y1
     if _dual_objective(y1, By1, b_linear, lam) <= _dual_objective(y, By, b_linear, lam):
@@ -323,24 +335,31 @@ def solve_dual_projected(B, b_linear, lam: float, feasible_set,
 
     On the closed-world losses f* reduces to the linear term ``b_linear @ y``
     plus the indicator of the set.  With ``polish`` enabled, the exact
-    active-set finisher (started from bounded quasi-Newton on a box) runs
-    before the first and after every 200th projected-gradient iteration; its
-    output is accepted only when it does not raise the objective, so descent
-    stays monotone.  Usually the finisher alone meets the tolerance and the
-    result reports 0 iterations.  Stops when the projected-gradient norm falls
+    active-set finisher (on a box after a short L-BFGS-B start that finds the
+    face) runs before the first and after every 200th projected-gradient
+    iteration; its output is accepted only when it does not raise the objective,
+    and a face solve that fails in LAPACK counts as no improvement.  Usually
+    the finisher alone meets the tolerance: the result reports 0 iterations,
+    and Lip is never estimated.  Stops when the projected-gradient norm falls
     below ``grad_tolerance`` relative to its first value.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     B = np.asarray(B, dtype=float)
     b_linear = np.asarray(b_linear, dtype=float)
-    lip = spectral_norm(B) ** 2 / lam
-    step = 1.0 / max(lip, 1e-30)
     y = feasible_set.project(np.zeros(b_linear.size) if y0 is None else np.asarray(y0, float))
     By = B @ y
     if polish:
         y, By = _accelerate(B, b_linear, lam, feasible_set, y, By)
     obj = _dual_objective(y, By, b_linear, lam)
+    # The step lam/||B||_F^2 is at most 1/Lip, and ||y - P(y - s g)|| / s does not
+    # decrease as s shrinks: a point that passes the stop test here passes it at 1/Lip.
+    short = lam / max(float(np.vdot(B, B)), 1e-30)
+    grad = b_linear + (B.T @ By) / lam
+    pg_norm = float(np.linalg.norm(y - feasible_set.project(y - short * grad))) / short
+    if pg_norm <= opts.grad_tolerance:
+        return SolveResult(y, obj, pg_norm, 0, True)
+    step = 1.0 / max(spectral_norm(B) ** 2 / lam, 1e-30)
     pg_ref = None
     grad_norm = np.inf
     iterations = 0

@@ -159,7 +159,11 @@ class TestSweepScaleCertificates:
         _report(certify.sweep_ordering_and_slopes())
 
     def test_10_nonsmooth_bound_and_ordering(self):
-        _report(certify.nonsmooth_bound_and_ordering())
+        """Every dual solve, the references' included, is finished by the
+        active-set finisher, with no projected-gradient fallback."""
+        result = certify.nonsmooth_bound_and_ordering()
+        _report(result)
+        assert "; 0 projected-gradient fallbacks;" in result.detail
 
     @pytest.mark.parametrize("cut", [False, True])
     def test_10_nonsmooth_bound_fails_on_an_unconverged_solve(self, monkeypatch, cut):

@@ -230,6 +230,11 @@ class TestCsvContract:
         assert back.lam == value and back.rel_err_x1 == value
 
 
+def _rows_without_runtime(path):
+    idx = CSV_COLUMNS.index("runtime_ms")
+    return [line.split(",")[:idx] + line.split(",")[idx + 1:] for line in open(path)]
+
+
 def _mini_config(tmp_path, experiment="recover", **overrides):
     kwargs = dict(experiment=experiment, n=24, d=36, decay="exp", nu=0.4,
                   loss="logistic", lam=1e-2, embedding="adaptive-gaussian",
@@ -403,13 +408,31 @@ class TestSetupReuse:
         assert counts == {"synth": 1, "reference": 1}
 
     @pytest.mark.parametrize("base, change", [
-        ({}, {"seed": 8}), ({}, {"lam": 2e-2}), ({}, {"loss": "relu"}), ({}, {"tol": 1e-9}),
+        ({}, {"seed": 8}), ({}, {"lam": 2e-2}), ({}, {"tol": 1e-9}),
         ({}, {"noise_var": 2.0}), ({}, {"nu": 0.5}),
         ({"decay": "geom", "ratio": 0.9}, {"ratio": 0.8})])
     def test_setup_inputs_rebuild(self, tmp_path, counts, base, change):
         run_experiment(_mini_config(tmp_path, trials=1, **base))
         run_experiment(_mini_config(tmp_path, trials=1, **{**base, **change}))
         assert counts == {"synth": 2, "reference": 2}
+
+    @pytest.mark.parametrize("experiment, losses", [("recover", ("logistic", "relu")),
+                                                    ("nonsmooth", ("l1", "linf"))])
+    def test_other_loss_keeps_the_instance(self, tmp_path, counts, experiment, losses):
+        """Same instance, other loss: one synthesis, two reference solves, and
+        the CSV that the second loss writes from a cold start."""
+        def run(loss, tag):
+            path = tmp_path / f"{tag}.csv"
+            run_experiment(_mini_config(tmp_path, experiment, loss=loss, trials=1,
+                                        out_path=str(path)))
+            return _rows_without_runtime(path)
+
+        run(losses[0], "first")
+        warm = run(losses[1], "warm")
+        assert counts == {"synth": 1, "reference": 2}
+        harness._last_setup = (None, None)
+        assert warm == run(losses[1], "cold")
+        assert counts == {"synth": 2, "reference": 3}
 
     def test_nu_is_not_an_input_of_a_geometric_spectrum(self, tmp_path, counts):
         run_experiment(_mini_config(tmp_path, trials=1, decay="geom", ratio=0.9))
@@ -425,8 +448,7 @@ class TestSetupReuse:
         def run(tag, name):
             path = tmp_path / f"{tag}.csv"
             run_experiment(_mini_config(tmp_path, **configs[name], out_path=str(path)))
-            idx = CSV_COLUMNS.index("runtime_ms")
-            return [line.split(",")[:idx] + line.split(",")[idx + 1:] for line in open(path)]
+            return _rows_without_runtime(path)
 
         warm = [run(f"warm{i}", name) for i, name in enumerate("aba")]
         assert counts == {"synth": 1, "reference": 1}

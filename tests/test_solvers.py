@@ -341,6 +341,29 @@ class TestDualProjected:
         for kind, res in results:
             assert res.iterations == 0 and res.converged, kind
 
+    def test_failed_face_solve_leaves_the_dual_to_projected_gradient(self, monkeypatch):
+        """A least-squares face solve that raises (LAPACK's "SVD did not
+        converge") counts as no improvement: projected gradient goes on from
+        the point the finisher was given and still converges."""
+        gen = SeededRng(20).generator()
+        C = gen.standard_normal((6, 3))
+        B = np.hstack([C, C])  # paired columns: a face that frees a pair is singular
+        b = np.tile(gen.standard_normal(3), 2)
+        feas = make_loss("l1", b=b).conjugate_domain()
+        opts = SolveOptions(grad_tolerance=1e-9, max_iters=20_000)
+        expected = solve_dual_projected(B, b, 1.0, feas, opts)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(solvers.np.linalg, "lstsq", failing)
+        res = solve_dual_projected(B, b, 1.0, feas, opts)
+        assert calls
+        assert res.converged and res.iterations > 0
+        assert res.objective == pytest.approx(expected.objective, abs=1e-12)
+
     @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
     def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
         """The box accelerator calls L-BFGS-B through ``scipy.optimize.minimize``
