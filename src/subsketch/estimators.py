@@ -23,7 +23,7 @@ from subsketch.embeddings import (
     build_sketch,
     projection_residual_norm,
 )
-from subsketch.losses import BoxSet, NonSmoothLoss, SmoothLoss
+from subsketch.losses import NonSmoothLoss, SmoothLoss
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import (
     DUAL_OPTIONS,
@@ -264,14 +264,7 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     alpha = -(B @ plain.minimizer) / lam
     w = sketch.a_qs @ alpha
     feas = loss.subgradient_partition(w)
-    if isinstance(feas, BoxSet) and np.all(feas.lows == feas.highs):
-        # subdifferential is a single point: the dual is fully determined
-        y = feas.lows.copy()
-        By = B @ y
-        res = SolveResult(y, float(y @ loss.b) + float(By @ By) / (2.0 * lam), 0.0, 0, True)
-    else:
-        res = solve_dual_projected(B, loss.b, lam, feas, opts,
-                                   y0=feas.project(plain.minimizer))
+    res = solve_dual_projected(B, loss.b, lam, feas, opts, y0=feas.project(plain.minimizer))
 
     x1 = -(A.T @ res.minimizer) / lam
     x_arb = -(A.T @ loss.arbitrary_subgradient(w)) / lam

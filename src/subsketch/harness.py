@@ -33,7 +33,7 @@ from subsketch.embeddings import (
 )
 from subsketch.losses import NONSMOOTH_KINDS, SMOOTH_KINDS
 from subsketch.numkit import SeededRng
-from subsketch.solvers import SolveOptions
+from subsketch.solvers import DUAL_OPTIONS, SolveOptions
 
 log = logging.getLogger("subsketch")
 
@@ -232,11 +232,11 @@ class ExperimentConfig:
 
     def solve_options(self) -> SolveOptions:
         """The configured tolerance and iteration cap; a non-smooth loss is
-        solved through its dual, with a tolerance of at least 1e-9 and at
-        least 200,000 iterations."""
+        solved through its dual, with at least the tolerance and the iteration
+        cap of ``solvers.DUAL_OPTIONS``."""
         if self.loss in NONSMOOTH_KINDS:
-            return SolveOptions(grad_tolerance=max(self.tol, 1e-9),
-                                max_iters=max(self.max_iters, 200_000))
+            return SolveOptions(grad_tolerance=max(self.tol, DUAL_OPTIONS.grad_tolerance),
+                                max_iters=max(self.max_iters, DUAL_OPTIONS.max_iters))
         return SolveOptions(grad_tolerance=self.tol, max_iters=self.max_iters)
 
 

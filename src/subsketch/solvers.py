@@ -8,9 +8,11 @@ Fenchel duals, convex quadratics over the feasible set each loss hands over (a
 box, a signed simplex face or the L1 ball).  One primal active-set routine
 finishes all three, as bounds plus at most one equality (the ball through its
 lifting to a simplex); it runs first, and then every 200 iterations of the
-fixed-step projected gradient that remains as the fallback.  On the
-``nonsmooth-dual`` benchmark (seeds 42 and 7) every dual, the L1 ball's
-included, returns after 0 projected-gradient iterations.
+fixed-step projected gradient that remains as the fallback.  Like Newton's,
+its one stop test is relative to the start (the gradient mapping's norm), so
+it does not depend on the objective's scale.  On the ``nonsmooth-dual``
+benchmark (seeds 42 and 7) every dual, the L1 ball's included, returns after
+0 projected-gradient iterations.
 
 A box dual starts from scipy's L-BFGS-B, run for a fixed 300 iterations: it
 only has to find the face, which the finisher then solves exactly (at n=1000,
@@ -328,20 +330,20 @@ def _accelerate(B, b_linear, lam, feas, y, By):
 
 
 def solve_dual_projected(B, b_linear, lam: float, feasible_set,
-                         opts: SolveOptions = DUAL_OPTIONS, y0=None,
-                         polish: bool = True, callback=None) -> SolveResult:
-    """Minimize f*(y) + (1/2 lam) ||B y||^2 over ``feasible_set`` by projected
-    gradient with the fixed step 1/Lip.
+                         opts: SolveOptions = DUAL_OPTIONS, y0=None) -> SolveResult:
+    """Minimize f*(y) + (1/2 lam) ||B y||^2 over ``feasible_set``.
 
     On the closed-world losses f* reduces to the linear term ``b_linear @ y``
-    plus the indicator of the set.  With ``polish`` enabled, the exact
-    active-set finisher (on a box after a short L-BFGS-B start that finds the
-    face) runs before the first and after every 200th projected-gradient
-    iteration; its output is accepted only when it does not raise the objective,
-    and a face solve that fails in LAPACK counts as no improvement.  Usually
-    the finisher alone meets the tolerance: the result reports 0 iterations,
-    and Lip is never estimated.  Stops when the projected-gradient norm falls
-    below ``grad_tolerance`` relative to its first value.
+    plus the indicator of the set.  The exact active-set finisher (on a box
+    after a short L-BFGS-B start that finds the face) runs before the first and
+    after every 200th step of projected gradient with the fixed step 1/Lip; its
+    output is accepted only when it does not raise the objective, and a face
+    solve that fails in LAPACK counts as no improvement.  Each pass makes one
+    stop test: ||y - P(y - s g)|| / s at most ``grad_tolerance`` times
+    max(1, its value at the projected start).  Before the first step s is
+    lam/||B||_F^2 <= 1/Lip, a point that passes there passes at 1/Lip (the
+    norm does not grow as s shrinks); usually the finisher's point does, the
+    result reports 0 iterations, and Lip is never estimated.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -349,41 +351,26 @@ def solve_dual_projected(B, b_linear, lam: float, feasible_set,
     b_linear = np.asarray(b_linear, dtype=float)
     y = feasible_set.project(np.zeros(b_linear.size) if y0 is None else np.asarray(y0, float))
     By = B @ y
-    if polish:
-        y, By = _accelerate(B, b_linear, lam, feasible_set, y, By)
-    obj = _dual_objective(y, By, b_linear, lam)
-    # The step lam/||B||_F^2 is at most 1/Lip, and ||y - P(y - s g)|| / s does not
-    # decrease as s shrinks: a point that passes the stop test here passes it at 1/Lip.
-    short = lam / max(float(np.vdot(B, B)), 1e-30)
-    grad = b_linear + (B.T @ By) / lam
-    pg_norm = float(np.linalg.norm(y - feasible_set.project(y - short * grad))) / short
-    if pg_norm <= opts.grad_tolerance:
-        return SolveResult(y, obj, pg_norm, 0, True)
-    step = 1.0 / max(spectral_norm(B) ** 2 / lam, 1e-30)
-    pg_ref = None
-    grad_norm = np.inf
-    iterations = 0
-    next_polish = 200
-    for iterations in range(1, opts.max_iters + 1):
-        grad = b_linear + (B.T @ By) / lam
-        y_next = feasible_set.project(y - step * grad)
-        pg_norm = float(np.linalg.norm(y - y_next)) / step
-        if pg_ref is None:
-            pg_ref = max(1.0, pg_norm)
-        if callback is not None:
-            callback(iterations, obj)
-        if pg_norm <= opts.grad_tolerance * pg_ref:
-            return SolveResult(y, obj, pg_norm, iterations - 1, True)
+    step = lam / max(float(np.vdot(B, B)), 1e-30)
+
+    def gradient_map(y, By):
+        y_next = feasible_set.project(y - step * (b_linear + (B.T @ By) / lam))
+        return y_next, float(np.linalg.norm(y - y_next)) / step
+
+    ref = max(1.0, gradient_map(y, By)[1])
+    for iterations in range(opts.max_iters + 1):
+        if iterations % 200 == 0:
+            y, By = _accelerate(B, b_linear, lam, feasible_set, y, By)
+        y_next, pg_norm = gradient_map(y, By)
+        converged = pg_norm <= opts.grad_tolerance * ref
+        if converged or iterations == opts.max_iters:
+            break
+        if iterations == 0:  # projected gradient starts: estimate Lip
+            step = 1.0 / max(spectral_norm(B) ** 2 / lam, 1e-30)
+            y_next = gradient_map(y, By)[0]
         y = y_next
         By = B @ y
-        obj = _dual_objective(y, By, b_linear, lam)
-        grad_norm = pg_norm
-        if polish and iterations >= next_polish:
-            next_polish += 200
-            y, By = _accelerate(B, b_linear, lam, feasible_set, y, By)
-            obj = _dual_objective(y, By, b_linear, lam)
-    converged = grad_norm <= opts.grad_tolerance * (pg_ref or 1.0)
-    return SolveResult(y, obj, grad_norm, iterations, converged)
+    return SolveResult(y, _dual_objective(y, By, b_linear, lam), pg_norm, iterations, converged)
 
 
 def solve_nonsmooth_primal_reference(A, loss: NonSmoothLoss, lam: float,

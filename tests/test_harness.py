@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from subsketch import estimators, harness, kernelize, synth
+from subsketch import estimators, harness, kernelize, solvers, synth
 from subsketch.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -563,15 +563,16 @@ class TestCli:
     def test_unconverged_nonsmooth_reference_writes_no_rows(self, tmp_path, monkeypatch):
         """A dual reference cut at one projected-gradient iteration with an
         unreachable tolerance blocks every row, also when the next run reuses
-        its set-up.  The active-set finisher is off: it would land on the
-        optimum exactly and meet any tolerance."""
+        its set-up.  The reference's active-set finisher is a no-op: it would
+        land on the optimum exactly and meet any tolerance."""
         calls = []
 
         def truncated(A, loss, lam, opts):
             calls.append(opts)
-            res = solve_dual_projected(A.T, loss.b, lam, loss.conjugate_domain(),
-                                       SolveOptions(grad_tolerance=1e-30, max_iters=1),
-                                       polish=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_accelerate", lambda B, b, lam, feas, y, By: (y, By))
+                res = solve_dual_projected(A.T, loss.b, lam, loss.conjugate_domain(),
+                                           SolveOptions(grad_tolerance=1e-30, max_iters=1))
             return -(A.T @ res.minimizer) / lam, res
 
         monkeypatch.setattr(estimators, "solve_nonsmooth_primal_reference", truncated)

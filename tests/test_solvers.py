@@ -11,7 +11,7 @@ from oracles import (
 from test_golden_outputs import CASES
 from subsketch import estimators, solvers
 from subsketch.embeddings import ADAPTIVE_GAUSSIAN, EmbeddingSpec, build_sketch
-from subsketch.harness import ExperimentConfig, run_experiment
+from subsketch.harness import ExperimentConfig, build_instance, parse_config, run_experiment
 from subsketch.losses import (
     BoxSet,
     L1BallSet,
@@ -267,16 +267,20 @@ class TestDualProjected:
                                    SolveOptions(grad_tolerance=1e-10, max_iters=100))
         assert np.array_equal(res.minimizer, point)
 
-    def test_monotone_objective(self):
+    def test_monotone_objective(self, monkeypatch):
+        """Projected gradient alone, with the finisher a no-op, never raises
+        the objective: the value after k steps does not increase with k."""
+        monkeypatch.setattr(solvers, "_accelerate", lambda B, b, lam, feas, y, By: (y, By))
         gen = SeededRng(13).generator()
         B = gen.standard_normal((5, 20))
         b = gen.standard_normal(20)
-        loss = make_loss("l1", b=b)
+        feas = make_loss("l1", b=b).conjugate_domain()
         trace = []
-        solve_dual_projected(B, b, 0.05, loss.conjugate_domain(),
-                             SolveOptions(grad_tolerance=1e-12, max_iters=5_000),
-                             polish=False, callback=lambda it, obj: trace.append(obj))
-        assert len(trace) >= 10
+        for k in range(1, 21):
+            res = solve_dual_projected(B, b, 0.05, feas,
+                                       SolveOptions(grad_tolerance=1e-12, max_iters=k))
+            assert res.iterations == k
+            trace.append(res.objective)
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(trace, trace[1:]))
 
     def test_simplex_face_set(self):
@@ -316,6 +320,41 @@ class TestDualProjected:
             assert np.abs(y).sum() == pytest.approx(1.0, abs=1e-12)
         if case == "l1-ball-interior":
             assert np.abs(y + b / 4.0).max() <= 1e-8  # stationarity of b.y + 2 y.y
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", ["box", "simplex-face", "l1-ball"])
+    def test_dual_does_not_depend_on_the_objective_scale(self, case, seed):
+        """Scaling the objective by c (B -> sqrt(c) B, b -> c b) leaves the
+        minimizer and the stop test unchanged: the finisher's point passes at
+        either scale, with no projected-gradient iteration."""
+        gen = SeededRng(seed).generator()
+        B = gen.standard_normal((20, 60))
+        b = gen.standard_normal(60)
+        feas = {"box": BoxSet(-np.ones(60), np.ones(60)),
+                "simplex-face": SimplexFaceSet(
+                    np.where(np.arange(60) % 3 == 0, 0.0, np.sign(b)), 1.0),
+                "l1-ball": L1BallSet(1.0)}[case]
+        results = [solve_dual_projected(np.sqrt(c) * B, c * b, 0.1, feas) for c in (1.0, 1e6)]
+        for res in results:
+            assert res.converged and res.iterations == 0
+        y1, y2 = (res.minimizer for res in results)
+        assert np.linalg.norm(y2 - y1) <= 1e-12 * np.linalg.norm(y1)
+
+    def test_projected_gradient_rescues_a_finisher_that_stops_short(self):
+        """On the reference dual of this d < n l1 run the finisher alone stops
+        at -3.2610 against an optimum of -3.3359; projected gradient and a
+        second finisher pass converge to the optimum."""
+        config = parse_config("nonsmooth --n 60 --d 45 --decay geom --ratio 0.8 --loss l1 "
+                              "--lambda 1e-4 --seed 5".split())
+        A, _, loss = build_instance(config)
+        B, b, feas = A.T, loss.b, loss.conjugate_domain()
+        y0 = feas.project(np.zeros(b.size))
+        y1, By1 = solvers._accelerate(B, b, config.lam, feas, y0, B @ y0)
+        finisher_alone = solvers._dual_objective(y1, By1, b, config.lam)
+        assert finisher_alone == pytest.approx(-3.2610, abs=1e-4)
+        res = solve_dual_projected(B, b, config.lam, feas, config.solve_options())
+        assert res.converged and res.iterations > 0
+        assert res.objective == pytest.approx(-3.3359, abs=1e-4)
 
     @pytest.mark.parametrize("case", ["seed10-n200", "golden-nonsmooth-linf"])
     def test_linf_duals_need_no_projected_gradient(self, monkeypatch, tmp_path, case):
