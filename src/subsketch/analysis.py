@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from subsketch.embeddings import EmbeddingSpec, build_sketch
 from subsketch.numkit import ResidualOperator, SeededRng, spectral_norm, thin_svd
@@ -68,10 +69,10 @@ def condition_numbers(A: np.ndarray, q_s: np.ndarray, lam: float) -> tuple[float
         raise ValueError("lam must be positive")
     A = np.asarray(A, dtype=float)
     d = A.shape[1]
-    s = np.linalg.svd(A, compute_uv=False)
+    s = scipy.linalg.svd(A, compute_uv=False)
     smallest = s[-1] ** 2 if d <= len(s) else 0.0
     kappa = (lam + s[0] ** 2) / (lam + smallest)
-    sb = np.linalg.svd(A @ q_s[: A.shape[1], :], compute_uv=False)
+    sb = scipy.linalg.svd(A @ q_s[: A.shape[1], :], compute_uv=False)
     small_b = sb[-1] ** 2 if sb.size == q_s.shape[1] else 0.0
     kappa_dag = (lam + sb[0] ** 2) / (lam + small_b)
     return float(kappa), float(kappa_dag)

@@ -12,6 +12,7 @@ The weight-space route here is what ``kernel-consistency`` checks it against.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from subsketch.embeddings import _whiten_svd
 from subsketch.losses import SmoothLoss
@@ -46,7 +47,8 @@ def kernel_root(K: np.ndarray) -> np.ndarray:
     """A square root ``K_h`` with ``K_h @ K_h.T = K``, via symmetric
     eigendecomposition with eigenvalues clamped at zero."""
     K = np.asarray(K, dtype=float)
-    evals, evecs = np.linalg.eigh(0.5 * (K + K.T))
+    # syevd, as numpy runs; scipy's default evr returns different vectors
+    evals, evecs = scipy.linalg.eigh(0.5 * (K + K.T), driver="evd")
     top = float(evals[-1]) if evals.size else 0.0
     if top <= 0.0:
         raise ValueError("Gram matrix has no positive eigenvalue")

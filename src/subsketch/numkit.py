@@ -12,10 +12,27 @@ counter-based Philox bit generator, so every draw is reproducible from a
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
 Importing this module holds scipy's pool at one thread for the whole process,
 because the spinning workers of two multi-threaded pools compete for the same
-cores and slow numpy's work down.  The package's scipy BLAS work is small and
-serial: L-BFGS-B at its default 10 corrections in the non-smooth dual, ``dstebz``
-on a k x k tridiagonal here, and the rare ``gesvd`` fallback of :func:`thin_svd`.
-numpy's pool keeps following ``OPENBLAS_NUM_THREADS``.
+cores and slow numpy's work down.  numpy's pool keeps following
+``OPENBLAS_NUM_THREADS``.  The package splits its dense work between the two:
+
+- scipy's one-thread LAPACK runs every factorization: the thin SVD here
+  (``gesdd``, with a ``gesvd`` fallback), the QR of :func:`sample_haar_frame`,
+  the SVDs of ``analysis.condition_numbers``, the ``syevd`` of
+  ``kernelize.kernel_root`` and the least squares (``gelsd``) of the solvers;
+  also L-BFGS-B in the non-smooth dual and ``dstebz`` on a k x k tridiagonal
+  here.
+- numpy's pool runs the matrix products (the sketch draws, the Hadamard
+  stages, ``A @ q_s``, the Newton Hessians) and the LU solves of the Newton
+  steps and of the dual finisher.
+
+The reason is measured (2 vCPU, numpy's pool at 2 threads): at these sizes a
+factorization is up to twice as fast at one thread as at two (``gesdd`` of
+400 x 64 1.3-1.9 against 2.8-3.8 ms, of 2000 x 128 18-23 against 37-38 ms; QR
+of 600 x 300 7-10 against 14-17 ms), while the products still gain from two.
+The exception is ``syevd`` above n = 100 (1000 x 1000: 175-197 against
+111-119 ms), which ``kernel_root`` runs once per kernel config.  Moving the LU
+solves too broke the byte-for-byte match of 12 golden CSVs, so they stay in
+numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +43,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+import scipy.linalg
 from numpy.random import Generator, Philox
 from scipy.linalg.lapack import dstebz
 
@@ -124,14 +141,13 @@ def thin_svd(M: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> T
     if not 0 <= rank_tolerance < 1:
         raise ValueError("rank_tolerance must lie in [0, 1)")
     try:
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
+        u, s, vt = scipy.linalg.svd(M, full_matrices=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         # gesdd occasionally fails where the slower gesvd succeeds
         try:
-            import scipy.linalg
-
-            u, s, vt = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
-        except Exception:
+            u, s, vt = scipy.linalg.svd(M, full_matrices=False, check_finite=False,
+                                        lapack_driver="gesvd")
+        except np.linalg.LinAlgError:
             raise ConvergenceError(
                 f"SVD did not converge for shape {M.shape}: {exc}", iterations=-1
             ) from exc
@@ -296,7 +312,7 @@ def sample_haar_frame(p: int, r: int, rng: SeededRng) -> np.ndarray:
     if r > p:
         raise ValueError(f"need r <= p, got r={r}, p={p}")
     G = rng.generator().standard_normal((p, r))
-    Q, R = np.linalg.qr(G)
+    Q, R = scipy.linalg.qr(G, mode="economic", check_finite=False)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs

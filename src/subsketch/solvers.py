@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from subsketch.losses import BoxSet, L1BallSet, NonSmoothLoss, SimplexFaceSet, SmoothLoss
 from subsketch.numkit import spectral_norm
@@ -55,6 +56,11 @@ class SolveResult:
 DUAL_OPTIONS = SolveOptions(grad_tolerance=1e-9, max_iters=200_000)
 
 
+def _lstsq(K, rhs):
+    # gelsd in scipy's one-thread LAPACK, at numpy's rcond=None cutoff (scipy's is plain eps)
+    return scipy.linalg.lstsq(K, rhs, cond=np.finfo(float).eps * max(K.shape))[0]
+
+
 # ---------------------------------------------------------------------------
 # smooth programs: f(B x + c) + lam/2 ||x + t||^2
 
@@ -69,7 +75,7 @@ def _newton_step_direct(B, h, lam, g, G=None):
     try:
         return -np.linalg.solve(H, g)
     except np.linalg.LinAlgError:
-        return -np.linalg.lstsq(H, g, rcond=None)[0]
+        return -_lstsq(H, g)
 
 
 def _newton_step_dual_space(B, BBt, h, lam, g):
@@ -255,7 +261,7 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
             except np.linalg.LinAlgError:
                 exact = False
             if not exact:
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+                sol = _lstsq(K, rhs)
                 resid = rhs - K @ sol
             solved = resid @ resid <= 1e-16 * (rhs @ rhs)
             if solved:

@@ -12,6 +12,7 @@ After a change that is meant to alter results, regenerate the fixture with::
 import json
 import os
 
+import numpy as np
 import pytest
 
 from subsketch import certify
@@ -78,6 +79,19 @@ def _load_fixture() -> dict:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_experiment_csv_matches_golden(case, tmp_path):
+    assert _run_case(CASES[case], tmp_path / f"{case}.csv") == _load_fixture()[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith(
+    ("recover-", "kernel", "conditioning-", "nonsmooth-"))))
+def test_factorizations_stay_out_of_numpy(case, tmp_path, monkeypatch):
+    """Every dense factorization runs in scipy's one-thread LAPACK (numkit
+    docstring): with numpy's raising, each case still writes its fixture."""
+    def raising(*args, **kwargs):
+        raise AssertionError("a factorization ran in numpy's LAPACK")
+
+    for name in ("svd", "qr", "eigh", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, raising)
     assert _run_case(CASES[case], tmp_path / f"{case}.csv") == _load_fixture()[case]
 
 

@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobi_singular_values
 from subsketch import numkit
+from subsketch.embeddings import DegenerateSketch, whiten
 from subsketch.numkit import (
     ConvergenceError,
     ResidualOperator,
@@ -67,6 +69,64 @@ class TestThinSvd:
         recon = f.u @ np.diag(f.singular_values) @ f.vt
         top = f.singular_values[0] if f.rank else 1.0
         assert np.abs(recon - M).max() <= 1e-8 * top
+
+
+def _rank_deficient(rows, cols, rank, seed):
+    gen = SeededRng(seed).generator()
+    return gen.standard_normal((rows, rank)) @ gen.standard_normal((rank, cols))
+
+
+class TestThinSvdDrivers:
+    """thin_svd runs gesdd in scipy's LAPACK and falls back to gesvd."""
+
+    @pytest.mark.parametrize("M", [
+        SeededRng(40).generator().standard_normal((60, 9)),
+        SeededRng(41).generator().standard_normal((9, 60)),
+        _rank_deficient(50, 12, 5, seed=42),
+        _rank_deficient(12, 50, 5, seed=43),
+        np.zeros((7, 4)),
+    ], ids=["tall", "wide", "rank-deficient-tall", "rank-deficient-wide", "zero"])
+    def test_agrees_with_numpy_svd(self, M):
+        f = thin_svd(M)
+        u, s, vt = np.linalg.svd(M, full_matrices=False)
+        r = int(np.count_nonzero(s > numkit.DEFAULT_RANK_TOLERANCE * s[0])) if s[0] > 0 else 0
+        assert f.rank == r
+        assert np.all(np.abs(f.singular_values - s[:r]) <= 1e-13 * s[:r])
+        if r == 0:
+            with pytest.raises(DegenerateSketch):
+                whiten(M)
+            return
+        # the range's basis: the polar factor is unique at full column rank,
+        # and at lower rank the basis is compared through its projector
+        q, ref = whiten(M), (u @ vt if r == M.shape[1] else u[:, :r])
+        if r < M.shape[1]:
+            q, ref = q @ q.T, ref @ ref.T
+        assert np.abs(q - ref).max() <= 1e-12
+
+    def test_gesvd_takes_over_when_gesdd_fails(self, monkeypatch):
+        svd, drivers = scipy.linalg.svd, []
+
+        def gesdd_fails(M, **kwargs):
+            drivers.append(kwargs.get("lapack_driver", "gesdd"))
+            if drivers[-1] == "gesdd":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(M, **kwargs)
+
+        monkeypatch.setattr(numkit.scipy.linalg, "svd", gesdd_fails)
+        M = SeededRng(44).generator().standard_normal((20, 6))
+        f = thin_svd(M)
+        assert drivers == ["gesdd", "gesvd"]
+        s = np.linalg.svd(M, compute_uv=False)
+        assert np.all(np.abs(f.singular_values - s) <= 1e-13 * s)
+        assert np.abs(f.u @ np.diag(s) @ f.vt - M).max() <= 1e-12 * s[0]
+
+    def test_both_drivers_failing_raises_convergence_error(self, monkeypatch):
+        def fails(M, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(numkit.scipy.linalg, "svd", fails)
+        with pytest.raises(ConvergenceError, match=r"shape \(5, 3\)"):
+            thin_svd(np.ones((5, 3)))
 
 
 class TestSpectralNorm:

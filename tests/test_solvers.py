@@ -397,7 +397,8 @@ class TestDualProjected:
             calls.append(args)
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(solvers.np.linalg, "lstsq", failing)
+        # the finisher's least squares run in scipy's LAPACK (numkit docstring)
+        monkeypatch.setattr(solvers.scipy.linalg, "lstsq", failing)
         res = solve_dual_projected(B, b, 1.0, feas, opts)
         assert calls
         assert res.converged and res.iterations > 0
