@@ -61,14 +61,14 @@ class RecoveryReport:
 
 @dataclass
 class NonsmoothRecovery:
-    """Recovery report plus the dual solution, the objective and the
-    projected-gradient iterations of the plain (unrestricted) dual, and the
-    arbitrary-subgradient error."""
+    """Recovery report plus the dual solution, the objective of the plain
+    (unrestricted) dual, the larger relative duality gap of the plain and the
+    restricted dual, and the arbitrary-subgradient error."""
 
     report: RecoveryReport
     y_star: np.ndarray
     dual_objective_plain: float
-    dual_iterations_plain: int
+    dual_gap: float
     rel_err_arbitrary: float
 
 
@@ -274,6 +274,6 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     report.converged = plain.converged and res.converged and reference_ok
     return NonsmoothRecovery(
         report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
-        dual_iterations_plain=plain.iterations,
+        dual_gap=max(plain.grad_norm, res.grad_norm),
         rel_err_arbitrary=_rel_err(x_arb, x_star, report.x_star_norm),
     )

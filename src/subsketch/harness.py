@@ -231,13 +231,11 @@ class ExperimentConfig:
         return synth.SpectrumSpec(kind=self.decay, nu=self.nu)
 
     def solve_options(self) -> SolveOptions:
-        """The configured tolerance and iteration cap; a non-smooth loss is
-        solved through its dual, with at least the tolerance and the iteration
-        cap of ``solvers.DUAL_OPTIONS``."""
-        if self.loss in NONSMOOTH_KINDS:
-            return SolveOptions(grad_tolerance=max(self.tol, DUAL_OPTIONS.grad_tolerance),
-                                max_iters=max(self.max_iters, DUAL_OPTIONS.max_iters))
-        return SolveOptions(grad_tolerance=self.tol, max_iters=self.max_iters)
+        """The configured tolerance and Newton's iteration cap; a non-smooth
+        loss's dual gets at least the tolerance of ``solvers.DUAL_OPTIONS``."""
+        dual = self.loss in NONSMOOTH_KINDS
+        tol = max(self.tol, DUAL_OPTIONS.grad_tolerance) if dual else self.tol
+        return SolveOptions(grad_tolerance=tol, max_iters=self.max_iters)
 
 
 def _int_list(text: str) -> list[int]:
@@ -260,7 +258,7 @@ def _add_flags(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
+    p.add_argument("--max-iters", type=int, help="Newton's cap; a dual takes one pass")
     p.add_argument("--noise-var", type=float)
     p.add_argument("--out", dest="out_path")
     p.add_argument("--suite", choices=["all", *certify_suites.SUITES])

@@ -102,6 +102,9 @@ class BoxSet:
     def contains(self, z, tol: float) -> bool:
         return bool(np.all(z >= self.lows - tol) and np.all(z <= self.highs + tol))
 
+    def support(self, r) -> float:
+        return float(np.maximum(self.lows * r, self.highs * r).sum())
+
 
 @dataclass(frozen=True)
 class SimplexFaceSet:
@@ -119,6 +122,9 @@ class SimplexFaceSet:
         out[sup] = project_scaled_simplex(v[sup], self.signs[sup], self.radius)
         return out
 
+    def support(self, r) -> float:
+        return self.radius * float((self.signs * r)[self.signs != 0].max())
+
 
 @dataclass(frozen=True)
 class L1BallSet:
@@ -129,6 +135,9 @@ class L1BallSet:
 
     def contains(self, z, tol: float) -> bool:
         return bool(np.abs(z).sum() <= self.radius + tol)
+
+    def support(self, r) -> float:
+        return self.radius * float(np.abs(r).max())
 
 
 class _LossBase:

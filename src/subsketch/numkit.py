@@ -16,11 +16,12 @@ cores and slow numpy's work down.  numpy's pool keeps following
 ``OPENBLAS_NUM_THREADS``.  The package splits its dense work between the two:
 
 - scipy's one-thread LAPACK runs every factorization: the thin SVD here
-  (``gesdd``, with a ``gesvd`` fallback), the QR of :func:`sample_haar_frame`,
-  the SVDs of ``analysis.condition_numbers``, the ``syevd`` of
-  ``kernelize.kernel_root`` and the least squares (``gelsd``) of the solvers;
-  also L-BFGS-B in the non-smooth dual and ``dstebz`` on a k x k tridiagonal
-  here.
+  (``gesdd``, with a ``gesvd`` fallback), which also solves the dual
+  finisher's faces that LU does not solve exactly, the QR of
+  :func:`sample_haar_frame`, the SVDs of ``analysis.condition_numbers``, the
+  ``syevd`` of ``kernelize.kernel_root`` and the least squares (``gelsd``)
+  that backs up a singular Newton step; also L-BFGS-B in the non-smooth dual
+  and ``dstebz`` on a k x k tridiagonal here.
 - numpy's pool runs the matrix products (the sketch draws, the Hadamard
   stages, ``A @ q_s``, the Newton Hessians) and the LU solves of the Newton
   steps and of the dual finisher.
@@ -33,6 +34,12 @@ The exception is ``syevd`` above n = 100 (1000 x 1000: 175-197 against
 111-119 ms), which ``kernel_root`` runs once per kernel config.  Moving the LU
 solves too broke the byte-for-byte match of 12 golden CSVs, so they stay in
 numpy.
+
+Importing this module also fixes glibc's mmap threshold at 4 MiB.  glibc
+raises it as large blocks are freed, then keeps freed 8 MB blocks (a 1000 x
+1000 Gram matrix) in the heap, so the same ``sweep-smooth`` code peaked at 127
+or 135 MB by checkout path and hash seed; mapped apart, 122 MB every run, for
+about 5% more time per cell (each 8 MB block now takes fresh pages).
 """
 
 from __future__ import annotations
@@ -60,6 +67,10 @@ def _cap_scipy_openblas() -> None:
 
 
 _cap_scipy_openblas()
+try:  # -3 is M_MMAP_THRESHOLD; setting it also stops glibc from raising it (docstring)
+    ctypes.CDLL(None).mallopt(-3, 4 << 20)
+except (AttributeError, OSError, TypeError):  # not glibc
+    pass
 
 
 class ConvergenceError(RuntimeError):

@@ -6,13 +6,10 @@ with its own thread pool, and handing each step between the two costs more
 than the arithmetic).  The non-smooth losses are handled entirely through their
 Fenchel duals, convex quadratics over the feasible set each loss hands over (a
 box, a signed simplex face or the L1 ball).  One primal active-set routine
-finishes all three, as bounds plus at most one equality (the ball through its
-lifting to a simplex); it runs first, and then every 200 iterations of the
-fixed-step projected gradient that remains as the fallback.  Like Newton's,
-its one stop test is relative to the start (the gradient mapping's norm), so
-it does not depend on the objective's scale.  On the ``nonsmooth-dual``
-benchmark (seeds 42 and 7) every dual, the L1 ball's included, returns after
-0 projected-gradient iterations.
+solves all three, as bounds plus at most one equality (the ball through its
+lifting to a simplex), in one pass: each face by LU, or by a thin SVD of its
+columns when LU is not exact.  The pass is certified by its duality gap
+relative to the objective, which, like Newton's test, ignores its scale.
 
 A box dual starts from scipy's L-BFGS-B, run for a fixed 300 iterations: it
 only has to find the face, which the finisher then solves exactly (at n=1000,
@@ -30,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from subsketch.losses import BoxSet, L1BallSet, NonSmoothLoss, SimplexFaceSet, SmoothLoss
-from subsketch.numkit import spectral_norm
+from subsketch.numkit import thin_svd
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -46,6 +43,8 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """``grad_norm``: Newton's gradient norm, or a dual's relative duality gap."""
+
     minimizer: np.ndarray
     objective: float
     grad_norm: float
@@ -53,7 +52,7 @@ class SolveResult:
     converged: bool
 
 
-DUAL_OPTIONS = SolveOptions(grad_tolerance=1e-9, max_iters=200_000)
+DUAL_OPTIONS = SolveOptions(grad_tolerance=1e-9)
 
 
 def _lstsq(K, rhs):
@@ -205,7 +204,7 @@ def solve_sketched_raw(a_s, s, loss: SmoothLoss, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# projected gradient on the dual quadratic
+# the dual quadratic over a box, a simplex face or the L1 ball
 
 
 def _dual_objective(y, By, b_linear, lam):
@@ -231,14 +230,14 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
     ``lows <= y <= highs``, with ``a.y`` held at its value at the feasible start
     ``y`` when ``a`` is given.
 
-    Each round solves the KKT system of the free coordinates, by LU when that
-    leaves a relative residual of at most 1e-12, else by least squares.  A
-    singular face whose system has no solution is descended along the residual,
-    a direction of zero curvature, and then solved again.  The step goes as far
-    as the bounds allow, and the coordinate that blocks it is pinned; after a
-    full Newton step the pinned coordinate whose multiplier has the wrong sign
-    is freed, until none has, for at most 2 len(y) + 20 rounds.
-    """
+    Each round solves the KKT system of the free coordinates F by LU if that
+    leaves a relative residual of at most 1e-12, else through a thin SVD of
+    B_F (B_F.T B_F squares its condition), with B_F and g_F projected off a_F:
+    the Newton step -lam V S^-2 V.T g_F if g_F lies in B_F's row space, else a
+    descent along the rest of g_F, of zero curvature.  A step blocked by a bound
+    pins that coordinate; after a full Newton step the pinned coordinate whose
+    multiplier has the wrong sign is freed, until none has, for at most
+    2 len(y) + 20 rounds."""
     y = np.array(y, dtype=float)
     near = 1e-12 * (1.0 + np.abs(y))
     side = np.where(y - lows <= near, -1, np.where(highs - y <= near, 1, 0))
@@ -250,27 +249,35 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
             Bf = B[:, free]
             K = (Bf.T @ Bf) / lam
             rhs = -g[free]
-            if a is not None:  # the equality row scaled to the Hessian's, for the least squares
+            if a is not None:  # the equality row scaled to the Hessian's
                 c = float(np.abs(K).max()) or 1.0
                 K = np.block([[K, c * a[free, None]], [c * a[None, free], np.zeros((1, 1))]])
                 rhs = np.append(rhs, 0.0)
-            try:  # LU in numpy's LAPACK; least squares if singular or inexact
+            try:  # LU in numpy's LAPACK
                 sol = np.linalg.solve(K, rhs)
                 resid = rhs - K @ sol
-                exact = resid @ resid <= 1e-24 * (rhs @ rhs)  # False for a non-finite sol
+                solved = resid @ resid <= 1e-24 * (rhs @ rhs)  # False for a non-finite sol
             except np.linalg.LinAlgError:
-                exact = False
-            if not exact:
-                sol = _lstsq(K, rhs)
-                resid = rhs - K @ sol
-            solved = resid @ resid <= 1e-16 * (rhs @ rhs)
+                solved = False
+            t_full = 1.0
             if solved:
-                d, t_full = sol[:free.size], 1.0
+                d = sol[:free.size]
             else:
-                d = resid[:free.size]
-                Bd = Bf @ d
-                curv = float(Bd @ Bd)
-                t_full = -lam * float(g[free] @ d) / curv if curv > 0 else np.inf
+                Bp, gp = Bf, g[free]
+                if a is not None:
+                    af = a[free] / np.linalg.norm(a[free])
+                    Bp, gp = Bp - np.outer(Bp @ af, af), gp - af * float(af @ gp)
+                # at gelsd's cutoff, in scipy's one-thread LAPACK (numkit docstring)
+                svd = thin_svd(Bp, np.finfo(float).eps * max(Bp.shape))
+                coef = svd.vt @ gp
+                d = svd.vt.T @ coef - gp  # minus the part of g_F outside the row space
+                solved = d @ d <= 1e-16 * (gp @ gp)
+                if solved:
+                    d = -lam * (svd.vt.T @ (coef / svd.singular_values ** 2))
+                else:  # exact line search
+                    Bd = Bf @ d
+                    curv = float(Bd @ Bd)
+                    t_full = -lam * float(g[free] @ d) / curv if curv > 0 else np.inf
             if a is not None:  # the face solve holds a.d = 0 only to its residual
                 d = d - a[free] * (float(a[free] @ d) / float(a[free] @ a[free]))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -299,84 +306,53 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
     return y
 
 
-def _accelerate(B, b_linear, lam, feas, y, By):
-    """Gated accelerator: the exact active-set solve over the feasible set,
-    accepted only when it does not increase the objective.
-
-    The box starts from bounded quasi-Newton.  A simplex face is the box of
-    its signs with the sum pinned.  The L1 ball of radius r is the image of
-    the simplex {z >= 0, sum z = r} in 2n + 1 coordinates under
-    y = z[:n] - z[n:2n]; z[2n] is the slack, which covers an interior optimum.
-    """
-    try:
-        if isinstance(feas, BoxSet):
-            start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
-            y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
-        elif isinstance(feas, SimplexFaceSet):
-            s = feas.signs
-            y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
-                             np.where(s > 0, np.inf, 0.0), y, s)
-        elif isinstance(feas, L1BallSet):
-            n = y.size
-            z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
-                            np.concatenate([b_linear, -b_linear, [0.0]]), lam,
-                            np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
-                            np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
-                                            [feas.radius - np.abs(y).sum()]]),
-                            np.ones(2 * n + 1))
-            y1 = z[:n] - z[n:2 * n]
-        else:
-            return y, By
-    except np.linalg.LinAlgError:  # a least-squares face solve that did not converge
-        return y, By
-    By1 = B @ y1
-    if _dual_objective(y1, By1, b_linear, lam) <= _dual_objective(y, By, b_linear, lam):
-        return y1, By1
-    return y, By
-
-
 def solve_dual_projected(B, b_linear, lam: float, feasible_set,
                          opts: SolveOptions = DUAL_OPTIONS, y0=None) -> SolveResult:
-    """Minimize f*(y) + (1/2 lam) ||B y||^2 over ``feasible_set``.
-
-    On the closed-world losses f* reduces to the linear term ``b_linear @ y``
-    plus the indicator of the set.  The exact active-set finisher (on a box
-    after a short L-BFGS-B start that finds the face) runs before the first and
-    after every 200th step of projected gradient with the fixed step 1/Lip; its
-    output is accepted only when it does not raise the objective, and a face
-    solve that fails in LAPACK counts as no improvement.  Each pass makes one
-    stop test: ||y - P(y - s g)|| / s at most ``grad_tolerance`` times
-    max(1, its value at the projected start).  Before the first step s is
-    lam/||B||_F^2 <= 1/Lip, a point that passes there passes at 1/Lip (the
-    norm does not grow as s shrinks); usually the finisher's point does, the
-    result reports 0 iterations, and Lip is never estimated.
-    """
+    """Minimize f*(y) + (1/2 lam) ||B y||^2 over ``feasible_set``, f* being the
+    linear term ``b_linear @ y`` plus the set's indicator, in one pass: the
+    start ``y0`` (default 0) is projected, a box runs L-BFGS-B from it, and the
+    active-set finisher solves the face, its point kept only if no worse.  A
+    simplex face is the box of its signs with the sum pinned; the L1 ball of
+    radius r is the image of {z >= 0, sum z = r} in 2n + 1 coordinates under
+    y = z[:n] - z[n:2n], z[2n] the slack of an interior optimum.  Converged when
+    the duality gap of y and -B y / lam, g.y + sigma(-g) = P + D (g the
+    gradient, sigma the set's support function), is at most ``grad_tolerance``
+    max(|D|, |P|)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     B = np.asarray(B, dtype=float)
     b_linear = np.asarray(b_linear, dtype=float)
-    y = feasible_set.project(np.zeros(b_linear.size) if y0 is None else np.asarray(y0, float))
-    By = B @ y
-    step = lam / max(float(np.vdot(B, B)), 1e-30)
-
-    def gradient_map(y, By):
-        y_next = feasible_set.project(y - step * (b_linear + (B.T @ By) / lam))
-        return y_next, float(np.linalg.norm(y - y_next)) / step
-
-    ref = max(1.0, gradient_map(y, By)[1])
-    for iterations in range(opts.max_iters + 1):
-        if iterations % 200 == 0:
-            y, By = _accelerate(B, b_linear, lam, feasible_set, y, By)
-        y_next, pg_norm = gradient_map(y, By)
-        converged = pg_norm <= opts.grad_tolerance * ref
-        if converged or iterations == opts.max_iters:
-            break
-        if iterations == 0:  # projected gradient starts: estimate Lip
-            step = 1.0 / max(spectral_norm(B) ** 2 / lam, 1e-30)
-            y_next = gradient_map(y, By)[0]
-        y = y_next
-        By = B @ y
-    return SolveResult(y, _dual_objective(y, By, b_linear, lam), pg_norm, iterations, converged)
+    feas = feasible_set
+    y = feas.project(np.zeros(b_linear.size) if y0 is None else np.asarray(y0, float))
+    if isinstance(feas, BoxSet):
+        start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
+        y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
+    elif isinstance(feas, SimplexFaceSet):
+        s = feas.signs
+        y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
+                         np.where(s > 0, np.inf, 0.0), y, s)
+    elif isinstance(feas, L1BallSet):
+        n = y.size
+        z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
+                        np.concatenate([b_linear, -b_linear, [0.0]]), lam,
+                        np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
+                        np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
+                                        [feas.radius - np.abs(y).sum()]]),
+                        np.ones(2 * n + 1))
+        y1 = z[:n] - z[n:2 * n]
+    else:
+        raise TypeError(f"no dual solver for a {type(feas).__name__}")
+    By, By1 = B @ y, B @ y1
+    objective = _dual_objective(y, By, b_linear, lam)
+    objective1 = _dual_objective(y1, By1, b_linear, lam)
+    if objective1 <= objective:  # else the start, which the finisher could not improve
+        y, By, objective = y1, By1, objective1
+    g = b_linear + (B.T @ By) / lam
+    sigma = feas.support(-g)
+    primal = sigma + float(By @ By) / (2.0 * lam)
+    gap = float(g @ y) + sigma
+    rel_gap = gap / max(abs(objective), abs(primal), np.finfo(float).tiny)
+    return SolveResult(y, objective, rel_gap, 0, rel_gap <= opts.grad_tolerance)
 
 
 def solve_nonsmooth_primal_reference(A, loss: NonSmoothLoss, lam: float,

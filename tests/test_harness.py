@@ -130,7 +130,6 @@ class TestParseConfig:
 
     def test_nonsmooth_loss_gets_dual_solve_options(self):
         opts = parse_config("nonsmooth --n 10 --d 10 --loss l1".split()).solve_options()
-        assert opts.max_iters == 200_000
         assert opts.grad_tolerance == 1e-9
         opts = parse_config("recover --n 10 --d 10".split()).solve_options()
         assert (opts.grad_tolerance, opts.max_iters) == (1e-10, 500)
@@ -561,16 +560,17 @@ class TestCli:
         assert ("reference solve did not converge" in capsys.readouterr().err) is not converged
 
     def test_unconverged_nonsmooth_reference_writes_no_rows(self, tmp_path, monkeypatch):
-        """A dual reference cut at one projected-gradient iteration with an
-        unreachable tolerance blocks every row, also when the next run reuses
-        its set-up.  The reference's active-set finisher is a no-op: it would
-        land on the optimum exactly and meet any tolerance."""
+        """A dual reference whose finisher returns its start, checked at an
+        unreachable tolerance, blocks every row, also when the next run reuses
+        its set-up.  The reference's finisher is a no-op: it would land on the
+        optimum exactly and meet any tolerance."""
         calls = []
 
         def truncated(A, loss, lam, opts):
             calls.append(opts)
             with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_accelerate", lambda B, b, lam, feas, y, By: (y, By))
+                patch.setattr(solvers, "_active_set",
+                              lambda B, b, lam, lows, highs, y, a=None: y)
                 res = solve_dual_projected(A.T, loss.b, lam, loss.conjugate_domain(),
                                            SolveOptions(grad_tolerance=1e-30, max_iters=1))
             return -(A.T @ res.minimizer) / lam, res

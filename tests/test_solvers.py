@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -233,6 +235,19 @@ class TestProjections:
         inside = np.array([0.2, -0.3])
         assert np.array_equal(project_l1_ball(inside, 1.0), inside)
 
+    def test_support_functions_are_maxima_over_vertices(self):
+        gen = SeededRng(23).generator()
+        r = gen.standard_normal(5)
+        lows, highs = -gen.random(5), gen.random(5)
+        corners = np.array(list(itertools.product(*zip(lows, highs))))
+        assert BoxSet(lows, highs).support(r) == pytest.approx((corners @ r).max(), rel=1e-14)
+        signs = np.array([1.0, 0.0, -1.0, -1.0, 1.0])
+        vertices = 2.0 * np.diag(signs)[signs != 0]
+        assert SimplexFaceSet(signs, 2.0).support(r) == pytest.approx((vertices @ r).max(),
+                                                                      rel=1e-14)
+        vertices = 3.0 * np.vstack([np.eye(5), -np.eye(5)])
+        assert L1BallSet(3.0).support(r) == pytest.approx((vertices @ r).max(), rel=1e-14)
+
 
 class TestDualProjected:
     def test_huge_lambda_linear_endpoints(self):
@@ -267,22 +282,6 @@ class TestDualProjected:
                                    SolveOptions(grad_tolerance=1e-10, max_iters=100))
         assert np.array_equal(res.minimizer, point)
 
-    def test_monotone_objective(self, monkeypatch):
-        """Projected gradient alone, with the finisher a no-op, never raises
-        the objective: the value after k steps does not increase with k."""
-        monkeypatch.setattr(solvers, "_accelerate", lambda B, b, lam, feas, y, By: (y, By))
-        gen = SeededRng(13).generator()
-        B = gen.standard_normal((5, 20))
-        b = gen.standard_normal(20)
-        feas = make_loss("l1", b=b).conjugate_domain()
-        trace = []
-        for k in range(1, 21):
-            res = solve_dual_projected(B, b, 0.05, feas,
-                                       SolveOptions(grad_tolerance=1e-12, max_iters=k))
-            assert res.iterations == k
-            trace.append(res.objective)
-        assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(trace, trace[1:]))
-
     def test_simplex_face_set(self):
         signs = np.array([1.0, 0.0, -1.0])
         feas = SimplexFaceSet(signs, 1.0)
@@ -294,8 +293,7 @@ class TestDualProjected:
                                       "l1-ball-interior"])
     def test_each_set_is_finished_on_its_kkt_point(self, case):
         """The active-set finisher lands on the KKT point of every feasible set
-        before any projected-gradient iteration: y is its own projected
-        gradient step, y = P(y - grad)."""
+        in its one pass: y is its own projected gradient step, y = P(y - grad)."""
         gen = SeededRng(22).generator()
         B = gen.standard_normal((6, 20))
         b = gen.standard_normal(20)
@@ -325,8 +323,8 @@ class TestDualProjected:
     @pytest.mark.parametrize("case", ["box", "simplex-face", "l1-ball"])
     def test_dual_does_not_depend_on_the_objective_scale(self, case, seed):
         """Scaling the objective by c (B -> sqrt(c) B, b -> c b) leaves the
-        minimizer and the stop test unchanged: the finisher's point passes at
-        either scale, with no projected-gradient iteration."""
+        minimizer and the relative gap test unchanged: the finisher's point
+        passes at either scale."""
         gen = SeededRng(seed).generator()
         B = gen.standard_normal((20, 60))
         b = gen.standard_normal(60)
@@ -340,27 +338,27 @@ class TestDualProjected:
         y1, y2 = (res.minimizer for res in results)
         assert np.linalg.norm(y2 - y1) <= 1e-12 * np.linalg.norm(y1)
 
-    def test_projected_gradient_rescues_a_finisher_that_stops_short(self):
-        """On the reference dual of this d < n l1 run the finisher alone stops
-        at -3.2610 against an optimum of -3.3359; projected gradient and a
-        second finisher pass converge to the optimum."""
-        config = parse_config("nonsmooth --n 60 --d 45 --decay geom --ratio 0.8 --loss l1 "
-                              "--lambda 1e-4 --seed 5".split())
+    @pytest.mark.parametrize("argv, optimum", [
+        pytest.param("--n 60 --d 45 --ratio 0.8 --loss l1 --lambda 1e-4 --seed 5",
+                     -3.3359314, id="l1-n60"),
+        pytest.param("--n 200 --d 150 --ratio 0.9 --loss hinge --lambda 1e-3 --seed 0",
+                     -146.01444, id="hinge-n200")])
+    def test_one_pass_solves_d_lt_n_duals(self, argv, optimum):
+        """The reference duals of two d < n runs, on whose faces LU is not
+        exact: the finisher solves them through the SVD of the face's columns
+        (at the least squares of B_F.T B_F / lam it stopped at -3.2610 and
+        -92.95)."""
+        config = parse_config(f"nonsmooth --decay geom {argv}".split())
         A, _, loss = build_instance(config)
-        B, b, feas = A.T, loss.b, loss.conjugate_domain()
-        y0 = feas.project(np.zeros(b.size))
-        y1, By1 = solvers._accelerate(B, b, config.lam, feas, y0, B @ y0)
-        finisher_alone = solvers._dual_objective(y1, By1, b, config.lam)
-        assert finisher_alone == pytest.approx(-3.2610, abs=1e-4)
-        res = solve_dual_projected(B, b, config.lam, feas, config.solve_options())
-        assert res.converged and res.iterations > 0
-        assert res.objective == pytest.approx(-3.3359, abs=1e-4)
+        res = solve_dual_projected(A.T, loss.b, config.lam, loss.conjugate_domain(),
+                                   config.solve_options())
+        assert res.converged and res.iterations == 0
+        assert res.objective == pytest.approx(optimum, rel=1e-7)
 
     @pytest.mark.parametrize("case", ["seed10-n200", "golden-nonsmooth-linf"])
     def test_linf_duals_need_no_projected_gradient(self, monkeypatch, tmp_path, case):
         """Every dual of a linf run, the L1-ball plain duals and reference
-        included, returns from the finisher with no projected-gradient
-        iteration."""
+        included, converges in its one finisher pass."""
         solve = solvers.solve_dual_projected
         results = []
 
@@ -380,29 +378,20 @@ class TestDualProjected:
         for kind, res in results:
             assert res.iterations == 0 and res.converged, kind
 
-    def test_failed_face_solve_leaves_the_dual_to_projected_gradient(self, monkeypatch):
-        """A least-squares face solve that raises (LAPACK's "SVD did not
-        converge") counts as no improvement: projected gradient goes on from
-        the point the finisher was given and still converges."""
+    def test_paired_columns_are_solved_in_one_pass(self, monkeypatch):
+        """Paired columns make every face that frees a pair singular, so LU is
+        not exact there and the SVD of the face's columns solves it."""
+        svd, shapes = solvers.thin_svd, []
+        monkeypatch.setattr(solvers, "thin_svd",
+                            lambda M, tol: shapes.append(M.shape) or svd(M, tol))
         gen = SeededRng(20).generator()
         C = gen.standard_normal((6, 3))
-        B = np.hstack([C, C])  # paired columns: a face that frees a pair is singular
+        B = np.hstack([C, C])
         b = np.tile(gen.standard_normal(3), 2)
-        feas = make_loss("l1", b=b).conjugate_domain()
-        opts = SolveOptions(grad_tolerance=1e-9, max_iters=20_000)
-        expected = solve_dual_projected(B, b, 1.0, feas, opts)
-        calls = []
-
-        def failing(*args, **kwargs):
-            calls.append(args)
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        # the finisher's least squares run in scipy's LAPACK (numkit docstring)
-        monkeypatch.setattr(solvers.scipy.linalg, "lstsq", failing)
-        res = solve_dual_projected(B, b, 1.0, feas, opts)
-        assert calls
-        assert res.converged and res.iterations > 0
-        assert res.objective == pytest.approx(expected.objective, abs=1e-12)
+        res = solve_dual_projected(B, b, 1.0, make_loss("l1", b=b).conjugate_domain())
+        assert res.converged and res.iterations == 0
+        assert res.objective == pytest.approx(-0.43774, abs=1e-5)
+        assert shapes  # (6, 6) and (6, 5)
 
     @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
     def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
@@ -430,6 +419,68 @@ class TestDualProjected:
         for kwargs in calls:
             assert kwargs["method"] == "L-BFGS-B"
             assert "maxcor" not in kwargs.get("options", {})
+
+
+def _frank_wolfe_gap(B, b, lam, feas, y):
+    """The relative duality gap of y, from the vertex v of ``feas`` that
+    minimizes g.v, computed from the set's own bounds: g.(y - v) over
+    max(|D|, |P|), with P = -g.v + ||B y||^2 / (2 lam)."""
+    By = B @ y
+    g = b + B.T @ By / lam
+    v = np.zeros_like(y)
+    if isinstance(feas, BoxSet):
+        v = np.where(g > 0, feas.lows, feas.highs)
+    elif isinstance(feas, SimplexFaceSet):
+        j = np.flatnonzero(feas.signs)[np.argmin((feas.signs * g)[feas.signs != 0])]
+        v[j] = feas.radius * feas.signs[j]
+    else:
+        j = np.argmax(np.abs(g))
+        v[j] = -feas.radius * np.sign(g[j])
+    quad = By @ By / (2 * lam)
+    return g @ (y - v) / max(abs(b @ y + quad), abs(quad - g @ v))
+
+
+class TestDualStress:
+    """Seeded net over the dual solver: every set, B with fewer or more rows
+    than dual coordinates, duplicated columns, column condition up to 1e8,
+    lam from 1e-4 to 1, the objective scaled by c = 1e-3 .. 1e3 (B -> sqrt(c) B,
+    b -> c b), and cold and warm starts (at the cold minimizer); each (cond, c)
+    pair meets one lam.  Every solve
+    must converge in its one pass, at a relative gap of at most 1e-11 by
+    Frank-Wolfe's own count."""
+
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20), (40, 40), (8, 120)])
+    @pytest.mark.parametrize("kind", ["l1", "hinge", "simplex-face", "l1-ball"])
+    def test_every_dual_converges_at_a_small_gap(self, kind, shape):
+        m, n = shape
+        failures = []
+        for dup, (i, cond) in itertools.product((False, True), enumerate((1e1, 1e4, 1e8))):
+            gen = SeededRng(0).derive(m, n, i, int(dup)).generator()
+            r = min(m, n)
+            U = np.linalg.qr(gen.standard_normal((m, r)))[0]
+            V = np.linalg.qr(gen.standard_normal((n, r)))[0]
+            B = (U * np.logspace(0, -np.log10(cond), r)) @ V.T
+            if dup:
+                B[:, 1::2] = B[:, ::2]
+            b = gen.standard_normal(n)
+            if kind in ("l1", "hinge"):
+                loss = make_loss(kind, b=np.sign(b) if kind == "hinge" else b)
+                b, feas = loss.b, loss.conjugate_domain()
+            elif kind == "simplex-face":
+                feas = SimplexFaceSet(np.where(np.arange(n) % 3 == 0, 0.0, np.sign(b)), 1.0)
+            else:
+                feas = L1BallSet(1.0)
+            for j, c in enumerate((1e-3, 1.0, 1e3)):
+                lam = (1e-4, 1e-2, 1.0)[(i + j) % 3]  # a Latin square: every (cond, lam), (lam, c)
+                Bc, bc = np.sqrt(c) * B, c * b
+                cold = solve_dual_projected(Bc, bc, lam, feas)
+                warm = solve_dual_projected(Bc, bc, lam, feas, y0=cold.minimizer)
+                for start, res in (("cold", cold), ("warm", warm)):
+                    gap = _frank_wolfe_gap(Bc, bc, lam, feas, res.minimizer)
+                    if not (res.converged and res.iterations == 0 and gap <= 1e-11):
+                        failures.append((dup, cond, lam, c, start, res.converged,
+                                         res.iterations, gap))
+        assert failures == []
 
 
 class TestNonsmoothReference:
