@@ -39,7 +39,7 @@ Importing this module also fixes glibc's mmap threshold at 4 MiB.  glibc
 raises it as large blocks are freed, then keeps freed 8 MB blocks (a 1000 x
 1000 Gram matrix) in the heap, so the same ``sweep-smooth`` code peaked at 127
 or 135 MB by checkout path and hash seed; mapped apart, 122 MB every run, for
-about 5% more time per cell (each 8 MB block now takes fresh pages).
+about 10% more time per cell (each such block now takes fresh pages).
 """
 
 from __future__ import annotations
