@@ -34,12 +34,6 @@ The exception is ``syevd`` above n = 100 (1000 x 1000: 175-197 against
 111-119 ms), which ``kernel_root`` runs once per kernel config.  Moving the LU
 solves too broke the byte-for-byte match of 12 golden CSVs, so they stay in
 numpy.
-
-Importing this module also fixes glibc's mmap threshold at 4 MiB.  glibc
-raises it as large blocks are freed, then keeps freed 8 MB blocks (a 1000 x
-1000 Gram matrix) in the heap, so the same ``sweep-smooth`` code peaked at 127
-or 135 MB by checkout path and hash seed; mapped apart, 122 MB every run, for
-about 10% more time per cell (each such block now takes fresh pages).
 """
 
 from __future__ import annotations
@@ -67,10 +61,6 @@ def _cap_scipy_openblas() -> None:
 
 
 _cap_scipy_openblas()
-try:  # -3 is M_MMAP_THRESHOLD; setting it also stops glibc from raising it (docstring)
-    ctypes.CDLL(None).mallopt(-3, 4 << 20)
-except (AttributeError, OSError, TypeError):  # not glibc
-    pass
 
 
 class ConvergenceError(RuntimeError):

@@ -23,7 +23,7 @@ from subsketch.losses import (
     project_l1_ball,
     project_scaled_simplex,
 )
-from subsketch.numkit import SeededRng, thin_svd
+from subsketch.numkit import ConvergenceError, SeededRng, thin_svd
 from subsketch.solvers import (
     SolveOptions,
     _newton_step_direct,
@@ -392,6 +392,23 @@ class TestDualProjected:
         assert res.converged and res.iterations == 0
         assert res.objective == pytest.approx(-0.43774, abs=1e-5)
         assert shapes  # (6, 6) and (6, 5)
+
+    def test_failed_face_svd_returns_the_start_unconverged(self, monkeypatch):
+        """A face SVD that raises leaves the projected start to the gap test,
+        which reports it unconverged instead of raising."""
+
+        def fails(M, tol):
+            raise ConvergenceError("SVD did not converge", iterations=0)
+
+        monkeypatch.setattr(solvers, "thin_svd", fails)
+        gen = SeededRng(20).generator()
+        C = gen.standard_normal((6, 3))
+        B = np.hstack([C, C])
+        b = np.tile(gen.standard_normal(3), 2)
+        res = solve_dual_projected(B, b, 1.0, make_loss("l1", b=b).conjugate_domain())
+        assert not res.converged and res.iterations == 0
+        assert res.objective == 0.0 and not res.minimizer.any()
+        assert res.grad_norm > 1e-3
 
     @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
     def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
