@@ -80,7 +80,8 @@ def _newton_step_direct(B, h, lam, g, G=None):
 def _newton_step_dual_space(B, BBt, h, lam, g):
     # (lam I + B.T diag(h) B)^-1 g via the matrix-inversion lemma on the n x n side
     c = np.sqrt(h)
-    N = BBt * np.outer(c, c)
+    N = np.outer(c, c)
+    N *= BBt  # in place: one n x n temporary per step, not two
     N[np.diag_indices_from(N)] += lam
     inner = np.linalg.solve(N, c * (B @ g))
     return -(g - B.T @ (c * inner)) / lam
@@ -142,8 +143,10 @@ def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
             if 1e-4 * eta * abs(slope) <= 4.0 * np.finfo(float).eps * max(1.0, abs(obj)):
                 break  # predicted decrease below float resolution; take the step
             eta *= 0.5
-        x = x + eta * delta
-        w = w + eta * Bd
+        # in place, so the minimizer a caller keeps was allocated before the
+        # loop's large temporaries rather than among the blocks they free
+        x += eta * delta
+        w += eta * Bd
         obj = loss.value(w) + ridge_val(x)
         g = B.T @ loss.gradient(w) + ridge_grad(x)
         grad_norm = float(np.linalg.norm(g))
