@@ -27,7 +27,6 @@ from subsketch.embeddings import (
     build_adaptive,
     build_sketch,
     projection_residual_norm,
-    whiten,
 )
 from subsketch.estimators import (
     first_order,
@@ -35,15 +34,13 @@ from subsketch.estimators import (
     recover_nonsmooth,
     recover_oblivious_dagger,
     recover_whitened,
-    zero_order,
 )
-from subsketch.numkit import SeededRng
+from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.solvers import (
     DUAL_OPTIONS,
     SolveOptions,
     solve_nonsmooth_primal_reference,
     solve_primal_reference,
-    solve_sketched,
     solve_sketched_raw,
 )
 
@@ -58,6 +55,15 @@ class CertResult:
     detail: str
 
 
+def _exp_instance(n, d, nu, seed):
+    """The base stream of ``seed`` and the exponential-decay instance ``(A,
+    summary)`` it synthesizes."""
+    base = SeededRng(seed)
+    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
+                                    base.derive(0xA))
+    return base, A, summary
+
+
 def _smooth_losses(A, base: SeededRng):
     return [synth.synth_loss(name, A, base) for name in ("quadratic", "logistic", "relu")]
 
@@ -70,9 +76,7 @@ def smooth_recovery_certificate(n=200, d=400, nu=0.2, ks=(8, 16, 32), seeds=20,
                                 seed=0) -> CertResult:
     """The first-order error must stay below sqrt(mu/2 lam) * residual *
     min(1, zero-order error) on every smooth run with the certified lambda."""
-    base = SeededRng(seed)
-    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                                    base.derive(0xA))
+    base, A, summary = _exp_instance(n, d, nu, seed)
     opts = SolveOptions(grad_tolerance=1e-12, max_iters=200)
     worst = -np.inf
     checked = failures = 0
@@ -99,9 +103,7 @@ def smooth_recovery_certificate(n=200, d=400, nu=0.2, ks=(8, 16, 32), seeds=20,
 def residual_bound_gaussian(n=200, d=400, nu=0.2, ks=(8, 16, 32), seeds=50,
                             seed=0) -> CertResult:
     """Adaptive Gaussian residual norms at sketch size 2k must stay below 26 R_k."""
-    base = SeededRng(seed)
-    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                                    base.derive(0xA))
+    base, A, summary = _exp_instance(n, d, nu, seed)
     violations = 0
     worst_ratio = 0.0
     for k in ks:
@@ -130,9 +132,7 @@ def residual_bound_srht(n=1024, d=512, nu=0.1, k=8, seeds=50, required=47,
                         seed=0) -> CertResult:
     """Adaptive SRHT residual norms at the prescribed sketch size must stay
     below 5 R_k in at least ``required`` of ``seeds`` draws."""
-    base = SeededRng(seed)
-    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                                    base.derive(0xA))
+    base, A, summary = _exp_instance(n, d, nu, seed)
     m = srht_sketch_size(k, n)
     r_k = analysis.spectral_residual(summary, k)
     hits = 0
@@ -153,9 +153,7 @@ def iterative_contraction(n=200, d=400, nu=0.2, ks=(8, 16, 32), T=5, seeds=10,
     """Per-iteration error ratios must stay below the certified contraction
     factor plus 0.05 until the error floor, and the cumulative bound
     (mu * residual^2 / 2 lam)^(t/2) must hold at the last checked iteration."""
-    base = SeededRng(seed)
-    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                                    base.derive(0xA))
+    base, A, summary = _exp_instance(n, d, nu, seed)
     opts = SolveOptions(grad_tolerance=1e-12, max_iters=200)
     losses = _smooth_losses(A, base)
     ratio_viol = cum_viol = runs = 0
@@ -215,8 +213,8 @@ def conditioning_ordering(n=80, d=120, m=20, instances=20, lam=1e-3, seed=0) -> 
 
 def whitened_equivalence(instances=10, n=40, d=25, m=10, lam=1e-2, tol=1e-6,
                          seed=0) -> CertResult:
-    """Solving with the raw embedding-shaped regularizer and with the whitened
-    isotropic one must produce identical estimators."""
+    """Solving with the raw embedding-shaped regularizer and through the
+    whitened recovery pipeline must produce identical estimators."""
     base = SeededRng(seed)
     opts = SolveOptions(grad_tolerance=1e-13, max_iters=400)
     worst = 0.0
@@ -226,17 +224,14 @@ def whitened_equivalence(instances=10, n=40, d=25, m=10, lam=1e-2, tol=1e-6,
         loss = _smooth_losses(A, base.derive(8, i))[i % 3]
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=base.derive(9, i))
         S = build_adaptive(A, spec)
-        q_s = whiten(S)
         x_star = solve_primal_reference(A, loss, lam, opts).minimizer
         raw = solve_sketched_raw(A @ S, S, loss, lam, opts)
-        wht = solve_sketched(A @ q_s, loss, lam, opts)
-        x0_raw, x0_wht = S @ raw.minimizer, q_s @ wht.minimizer
+        x0_raw = S @ raw.minimizer
         x1_raw = first_order(A, loss, lam, x0_raw)
-        x1_wht = first_order(A, loss, lam, x0_wht)
-        scale = np.linalg.norm(x_star)
+        wht = recover_whitened(A, loss, lam, spec, opts, x_star=x_star, compute_residual=False)
         worst = max(worst,
-                    np.linalg.norm(x0_raw - x0_wht) / scale,
-                    np.linalg.norm(x1_raw - x1_wht) / scale)
+                    np.linalg.norm(x0_raw - wht.x0) / wht.x_star_norm,
+                    np.linalg.norm(x1_raw - wht.x1) / wht.x_star_norm)
     return CertResult(
         "whitened-equivalence", worst <= tol,
         f"max estimator discrepancy {worst:.3e} over {instances} instances (tol {tol:g})",
@@ -247,9 +242,7 @@ def oblivious_zero_order_floor(n=60, d=200, ms=(20, 50, 100), seeds=500, lam=0.1
                                nu=0.1, seed=0) -> CertResult:
     """Mean squared zero-order error with oblivious embeddings must stay above
     1 - m/d minus three standard errors, for Gaussian and SRHT draws."""
-    base = SeededRng(seed)
-    A, _ = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                              base.derive(0xA))
+    base, A, _ = _exp_instance(n, d, nu, seed)
     loss = _smooth_losses(A, base)[0]
     opts = SolveOptions(grad_tolerance=1e-10, max_iters=100)
     x_star = solve_primal_reference(A, loss, lam, opts).minimizer
@@ -378,8 +371,9 @@ def nonsmooth_bound_and_ordering(n=1000, d=2000, lam=1e-2, ratio=0.98, trials=20
 
 def kernel_feature_consistency(instances=10, n=30, d=20, m=8, lam=1e-2,
                                seed=0) -> CertResult:
-    """Feature-space and kernel-space pipelines sharing the inner embedding
-    must produce the same estimator, with RKHS error equal to Euclidean error."""
+    """The whitened recovery pipeline and the kernel-space route sharing its
+    inner embedding must produce the same estimator, with RKHS error equal to
+    Euclidean error."""
     base = SeededRng(seed)
     opts = SolveOptions(grad_tolerance=1e-13, max_iters=400)
     worst_vec = worst_err = 0.0
@@ -387,23 +381,19 @@ def kernel_feature_consistency(instances=10, n=30, d=20, m=8, lam=1e-2,
         gen = base.derive(14, i).generator()
         A = gen.standard_normal((n, d)) / np.sqrt(n)
         loss = _smooth_losses(A, base.derive(15, i))[i % 3]
-        s_tilde = base.derive(16, i).generator().normal(0.0, 1.0 / np.sqrt(m), (n, m))
-        # feature route
-        S = A.T @ s_tilde
-        q_s = whiten(S)
-        beta = solve_sketched(A @ q_s, loss, lam, opts).minimizer
-        x1 = first_order(A, loss, lam, zero_order(q_s, beta))
+        spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m, seed=base.derive(16, i))
         x_star = solve_primal_reference(A, loss, lam, opts).minimizer
-        # kernel route
+        rep = recover_whitened(A, loss, lam, spec, opts, x_star=x_star, compute_residual=False)
+        # kernel route, on the inner draw of the adaptive Gaussian sketch
+        s_tilde = sample_gaussian_matrix(n, m, 1.0 / m, spec.seed)
         K = kernelize.gram_from_features(A)
         alpha_k = kernelize.solve_sketched_kernel(K, s_tilde, loss, lam, opts).minimizer
         w1 = kernelize.kernel_first_order(K, s_tilde, alpha_k, loss, lam)
         w_star = kernelize.solve_sketched_kernel(K, np.eye(n), loss, lam, opts).minimizer
-        worst_vec = max(worst_vec, np.linalg.norm(x1 - A.T @ w1) / np.linalg.norm(x1))
+        worst_vec = max(worst_vec, np.linalg.norm(rep.x1 - A.T @ w1) / np.linalg.norm(rep.x1))
         rkhs_rel = (kernelize.rkhs_distance(K, w1, w_star)
                     / kernelize.rkhs_distance(K, w_star, np.zeros(n)))
-        euclid_rel = np.linalg.norm(x1 - x_star) / np.linalg.norm(x_star)
-        worst_err = max(worst_err, abs(rkhs_rel - euclid_rel))
+        worst_err = max(worst_err, abs(rkhs_rel - rep.rel_err_x1))
     return CertResult(
         "kernel-consistency", worst_vec <= 1e-8 and worst_err <= 1e-6,
         f"max vector gap {worst_vec:.2e} (tol 1e-8), max error-metric gap {worst_err:.2e} (tol 1e-6)",
@@ -414,9 +404,7 @@ def risk_limit(n=200, d=400, nu=0.2, noise_var=25.0, lam=1e-8, trials=500,
                event_draws=50, event_required=45, seed=0) -> CertResult:
     """Monte-Carlo zero-order risk must match its analytic small-lambda limit
     within 5%, and the low-bias event must hold in most sketch draws."""
-    base = SeededRng(seed)
-    A, summary = synth.synth_matrix(n, d, synth.SpectrumSpec(synth.EXPONENTIAL, nu=nu),
-                                    base.derive(0xA))
+    base, A, summary = _exp_instance(n, d, nu, seed)
     d_s = analysis.statistical_dimension(summary, noise_var, n)
     m = 4 * d_s
     spec = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=m, seed=base.derive(17))

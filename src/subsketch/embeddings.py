@@ -73,11 +73,6 @@ class Sketch:
     s: np.ndarray
     q_s: np.ndarray
     a_qs: np.ndarray
-    spec: EmbeddingSpec
-
-    @property
-    def rank(self) -> int:
-        return self.q_s.shape[1]
 
 
 def next_pow2(p: int) -> int:
@@ -150,13 +145,6 @@ def srht_matrix(p: int, m: int, rng: SeededRng) -> np.ndarray:
     return np.sqrt(pt / m) * (S / np.sqrt(pt) * signs[:, None])
 
 
-def build_oblivious_gaussian(d: int, spec: EmbeddingSpec) -> np.ndarray:
-    """d x m embedding with i.i.d. N(0, 1/m) entries."""
-    if spec.kind != OBLIVIOUS_GAUSSIAN:
-        raise ValueError(f"spec kind must be {OBLIVIOUS_GAUSSIAN!r}")
-    return sample_gaussian_matrix(d, spec.m, 1.0 / spec.m, spec.seed)
-
-
 def _draw_inner(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     """The product A.T @ S_tilde for the inner oblivious matrix of an adaptive sketch."""
     n = A.shape[0]
@@ -208,14 +196,14 @@ def build_sketch(A: np.ndarray, spec: EmbeddingSpec) -> Sketch:
     A = np.asarray(A, dtype=float)
     d = A.shape[1]
     if spec.kind == OBLIVIOUS_GAUSSIAN:
-        S = build_oblivious_gaussian(d, spec)
+        S = sample_gaussian_matrix(d, spec.m, 1.0 / spec.m, spec.seed)
     elif spec.kind == OBLIVIOUS_SRHT:
         S = srht_matrix(d, spec.m, spec.seed)
     else:
         S = build_adaptive(A, spec)
     q_s = whiten(S)
     a_qs = A @ q_s[:d, :]
-    return Sketch(s=S, q_s=q_s, a_qs=a_qs, spec=spec)
+    return Sketch(s=S, q_s=q_s, a_qs=a_qs)
 
 
 def projection_residual_norm(A: np.ndarray, q_s: np.ndarray) -> float:

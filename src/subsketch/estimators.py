@@ -40,7 +40,6 @@ from subsketch.solvers import (
 class RecoveryReport:
     """Per-trial record of a recovery run and its bound certificate."""
 
-    alpha: np.ndarray
     x0: np.ndarray
     x1: np.ndarray
     rel_err_x0: float
@@ -49,12 +48,8 @@ class RecoveryReport:
     bound_rhs: float
     condition_ok: bool
     runtime_ms: float
-    seed: int
-    stream_id: int = 0
-    route: str = "adaptive"
     x_star_norm: float = float("nan")
     objective: float = float("nan")
-    iterations: int = 0
     converged: bool = True
     t: int = 0
 
@@ -119,17 +114,17 @@ def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
     return x_star, res.converged
 
 
-def _report(loss, lam, rng: SeededRng, route, x_star, residual, certified,
-            res: SolveResult, alpha, x0, x1, runtime_ms, t=0) -> RecoveryReport:
+def _report(loss, lam, x_star, residual, res: SolveResult, x0, x1, runtime_ms,
+            t=0) -> RecoveryReport:
     """The report of one recovery: the errors of ``x0`` and ``x1`` against
-    ``x_star`` and, when ``certified``, the bound for the measured ``residual``.
+    ``x_star`` and, when the ``residual`` was measured (is finite), its bound.
     A smooth loss is bounded by sqrt(mu/2 lam) * residual * min(1, rel_err_x0)
     under the condition lam >= 2 mu residual^2; a non-smooth one
     unconditionally by ||x1 - x*|| <= sqrt(6) (L/lam) * residual."""
     x_star_norm = float(np.linalg.norm(x_star))
     rel0 = _rel_err(x0, x_star, x_star_norm)
     rel1 = _rel_err(x1, x_star, x_star_norm)
-    if not certified:
+    if not np.isfinite(residual):
         bound, cond_ok = np.nan, False
     elif loss.smooth:
         mu = loss.smoothness
@@ -138,26 +133,23 @@ def _report(loss, lam, rng: SeededRng, route, x_star, residual, certified,
     else:
         bound, cond_ok = np.sqrt(6.0) * loss.lipschitz / lam * residual, True
     return RecoveryReport(
-        alpha=alpha, x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1,
-        residual_norm=residual, bound_rhs=float(bound), condition_ok=cond_ok,
-        runtime_ms=runtime_ms, seed=rng.seed, stream_id=rng.stream_id, route=route,
-        x_star_norm=x_star_norm, objective=res.objective, iterations=res.iterations,
-        converged=res.converged, t=t,
+        x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1, residual_norm=residual,
+        bound_rhs=float(bound), condition_ok=cond_ok, runtime_ms=runtime_ms,
+        x_star_norm=x_star_norm, objective=res.objective, converged=res.converged, t=t,
     )
 
 
-def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, route,
-                   rng: SeededRng, opts, x_star, t0, T=None, error_floor=0.0):
+def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, opts, x_star, t0,
+                   T=None, error_floor=0.0):
     """The smooth recovery loop in the coordinates ``q_s`` (``a_qs = A @ q_s``).
 
     Round 1 solves the sketched program; every later round solves it shifted by
     the previous first-order iterate.  Each round maps back through the dual
-    map and yields one report; ``certified`` adds the bound and the
-    regularization condition for the measured ``residual``.  ``T=None`` is the
-    single-shot pipeline: one round, reported as ``t=0``.  A round's runtime
-    starts where the previous one ended, the first at ``t0``.  A report has
-    converged only if its round's solve did, and the reference solve too when
-    no ``x_star`` is given.
+    map and yields one report; a measured ``residual`` adds the bound and the
+    regularization condition.  ``T=None`` is the single-shot pipeline: one
+    round, reported as ``t=0``.  A round's runtime starts where the previous
+    one ended, the first at ``t0``.  A report has converged only if its round's
+    solve did, and the reference solve too when no ``x_star`` is given.
     """
     dim = q_s.shape[0]
     x_star, reference_ok = _ensure_reference(A, loss, lam, opts, x_star)
@@ -176,8 +168,8 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
             inner = a_qs @ res.minimizer + image
         x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, dim)
         t1 = time.perf_counter()
-        reports.append(_report(loss, lam, rng, route, x_star, residual, certified, res,
-                               res.minimizer, v, x_hat, (t1 - t0) * 1e3, t if T else 0))
+        reports.append(_report(loss, lam, x_star, residual, res, v, x_hat, (t1 - t0) * 1e3,
+                               t if T else 0))
         reports[-1].converged = res.converged and reference_ok
         t0 = t1
         if not res.converged or reports[-1].rel_err_x1 < error_floor:
@@ -186,14 +178,14 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, certified, rou
 
 
 def _sketch_rounds(A, loss, lam, spec: EmbeddingSpec, opts, x_star, compute_residual,
-                   route, T=None, error_floor=0.0):
+                   T=None, error_floor=0.0):
     """Draw and whiten the embedding of ``spec``, then run the round loop in its basis."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     sketch = build_sketch(A, spec)
     residual = projection_residual_norm(A, sketch.q_s) if compute_residual else float("nan")
-    return _smooth_rounds(A, loss, lam, sketch.q_s, sketch.a_qs, residual, compute_residual,
-                          route, spec.seed, opts, x_star, t0, T, error_floor)
+    return _smooth_rounds(A, loss, lam, sketch.q_s, sketch.a_qs, residual, opts, x_star, t0,
+                          T, error_floor)
 
 
 def recover_whitened(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
@@ -206,7 +198,7 @@ def recover_whitened(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
     certificate quantities (projection residual, bound right-hand side, and
     whether the regularization condition held).
     """
-    return _sketch_rounds(A, loss, lam, spec, opts, x_star, compute_residual, spec.kind)[0]
+    return _sketch_rounds(A, loss, lam, spec, opts, x_star, compute_residual)[0]
 
 
 def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: int,
@@ -221,8 +213,7 @@ def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: i
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    return _sketch_rounds(A, loss, lam, spec, opts, x_star, True,
-                          f"iterative-{spec.kind}", T, error_floor)
+    return _sketch_rounds(A, loss, lam, spec, opts, x_star, True, T, error_floor)
 
 
 def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, m: int, rng: SeededRng,
@@ -233,8 +224,7 @@ def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, m: int, rng: Seede
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     Q = sample_gaussian_matrix(A.shape[1], m, 1.0 / m, rng)
-    return _smooth_rounds(A, loss, lam, Q, A @ Q, float("nan"), False, "oblivious-dagger", rng,
-                          opts, x_star, t0)[0]
+    return _smooth_rounds(A, loss, lam, Q, A @ Q, float("nan"), opts, x_star, t0)[0]
 
 
 def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
@@ -268,8 +258,7 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
 
     x1 = -(A.T @ res.minimizer) / lam
     x_arb = -(A.T @ loss.arbitrary_subgradient(w)) / lam
-    report = _report(loss, lam, spec.seed, "nonsmooth-restricted", x_star, residual, True,
-                     res, alpha, zero_order(sketch.q_s, alpha), x1,
+    report = _report(loss, lam, x_star, residual, res, zero_order(sketch.q_s, alpha), x1,
                      (time.perf_counter() - t0) * 1e3)
     report.converged = plain.converged and res.converged and reference_ok
     return NonsmoothRecovery(

@@ -191,12 +191,17 @@ class ExperimentConfig:
         if self.embedding not in EMBEDDING_NAMES:
             raise ValueError(f"unknown embedding {self.embedding!r}")
         if self.decay not in (synth.POLYNOMIAL, synth.EXPONENTIAL, synth.GEOMETRIC):
-            raise ValueError(f"decay must be poly, exp or geom, not {self.decay!r}; "
-                             "an explicit spectrum is built with synth.SpectrumSpec")
+            raise ValueError(f"decay must be poly, exp or geom, not {self.decay!r}")
         if self.loss not in SMOOTH_KINDS + NONSMOOTH_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.m_list != sorted(self.m_list):
             raise ValueError("m list must be sorted ascending")
+        self.spectrum()
+        self.solve_options()
+        if not (0 < self.lam < np.inf and 0 < self.noise_var < np.inf):
+            raise ValueError("lambda and noise_var must be positive and finite")
+        if any(m < 1 for m in self.m_list):
+            raise ValueError("every sketch size m must be >= 1")
         if self.trials < 1 or self.T < 1:
             raise ValueError("trials and T must be >= 1")
         adaptive = EMBEDDING_NAMES[self.embedding] in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)
@@ -329,15 +334,13 @@ def _fill_from_report(rec: RunRecord, rep: estimators.RecoveryReport) -> RunReco
     return rec
 
 
-def _embedding_spec(config: ExperimentConfig, m: int, rng: SeededRng) -> EmbeddingSpec:
-    return EmbeddingSpec(kind=EMBEDDING_NAMES[config.embedding], m=m, q=config.q, seed=rng)
-
-
 def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     """The records of one cell, and ``{"trial", "m", "t"}`` for each recovery
     round whose solve did not converge; such a round writes no record."""
     rng = SeededRng(config.seed).derive(trial, m_idx)
     opts = config.solve_options()
+    spec = (None if config.embedding == "oblivious-dagger" else
+            EmbeddingSpec(kind=EMBEDDING_NAMES[config.embedding], m=m, q=config.q, seed=rng))
     records, not_converged = [], []
 
     def add(rep):
@@ -348,20 +351,17 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         return rep.converged
 
     if config.experiment in ("recover", "sweep", "kernel"):
-        if config.embedding == "oblivious-dagger":
+        if spec is None:
             rep = estimators.recover_oblivious_dagger(A, loss, config.lam, m, rng, opts,
                                                       x_star=x_star)
         else:
-            spec = _embedding_spec(config, m, rng)
             rep = estimators.recover_whitened(A, loss, config.lam, spec, opts, x_star=x_star)
         add(rep)
     elif config.experiment == "iterative":
-        spec = _embedding_spec(config, m, rng)
         for rep in estimators.recover_iterative(A, loss, config.lam, spec, config.T, opts,
                                                 x_star=x_star):
             add(rep)
     elif config.experiment == "nonsmooth":
-        spec = _embedding_spec(config, m, rng)
         out = estimators.recover_nonsmooth(A, loss, config.lam, spec, opts, x_star=x_star)
         if add(out.report):
             arb = _record_base(config, trial, m, summary)
@@ -371,14 +371,12 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
             arb.runtime_ms = out.report.runtime_ms
             records.append(arb)
     elif config.experiment == "conditioning":
-        spec = _embedding_spec(config, m, rng)
         sketch = build_sketch(A, spec)
         kappa, kappa_dag = analysis.condition_numbers(A, sketch.q_s, config.lam)
         rec = _record_base(config, trial, m, summary)
         rec.kappa, rec.kappa_dagger = kappa, kappa_dag
         records.append(rec)
     elif config.experiment == "risk":
-        spec = _embedding_spec(config, m, rng)
         mc, limit = analysis.risk_zero_order(A, spec, config.noise_var, config.lam,
                                              config.trials, rng.derive(0xE))
         rec = _record_base(config, trial, m, summary)

@@ -15,7 +15,6 @@ from subsketch.numkit import SeededRng, sample_haar_frame
 POLYNOMIAL = "poly"
 EXPONENTIAL = "exp"
 GEOMETRIC = "geom"
-EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -25,34 +24,24 @@ class SpectrumSpec:
     Polynomial: sigma_j = scale * j^(-(1+nu)/2).  Exponential:
     sigma_j = scale * exp(-nu j / 2).  Geometric: sigma_j = scale * ratio^j.
     The scale defaults to sqrt(n) for the polynomial and exponential families
-    and 1 for geometric and explicit spectra, matching the standard synthetic
-    benchmarks.
+    and 1 for the geometric one, matching the standard synthetic benchmarks.
     """
 
     kind: str
     nu: float = 0.0
     ratio: float = 0.0
-    values: tuple = ()
     scale: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (POLYNOMIAL, EXPONENTIAL, GEOMETRIC, EXPLICIT):
+        if self.kind not in (POLYNOMIAL, EXPONENTIAL, GEOMETRIC):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if self.kind in (POLYNOMIAL, EXPONENTIAL) and self.nu <= 0:
-            raise ValueError("decay exponent nu must be positive")
+        if self.kind in (POLYNOMIAL, EXPONENTIAL) and not 0 < self.nu < np.inf:
+            raise ValueError("decay exponent nu must be positive and finite")
         if self.kind == GEOMETRIC and not 0 < self.ratio < 1:
             raise ValueError("geometric ratio must lie in (0, 1)")
-        if self.kind == EXPLICIT and len(self.values) == 0:
-            raise ValueError("explicit spectrum needs at least one value")
 
     def generate(self, n: int, d: int) -> np.ndarray:
-        rho = min(n, d)
-        if self.kind == EXPLICIT:
-            s = np.asarray(self.values, dtype=float)[:rho]
-            if np.any(s <= 0) or np.any(np.diff(s) > 0):
-                raise ValueError("explicit spectrum must be positive nonincreasing")
-            return s * (self.scale if self.scale is not None else 1.0)
-        j = np.arange(1, rho + 1, dtype=float)
+        j = np.arange(1, min(n, d) + 1, dtype=float)
         if self.kind == POLYNOMIAL:
             base = j ** (-(1.0 + self.nu) / 2.0)
         elif self.kind == EXPONENTIAL:

@@ -5,13 +5,14 @@ The two sweep-scale criteria (ordering/slopes and the non-smooth bound) take
 about 35 s and 2 minutes; the whole module runs in about 3 minutes on 2 cores.
 """
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from oracles import central_difference_gradient
-from subsketch import certify
+from subsketch import certify, estimators
 from subsketch.embeddings import ADAPTIVE_GAUSSIAN, EmbeddingSpec, apply_srht, build_sketch, next_pow2
 from subsketch.harness import CSV_COLUMNS, ExperimentConfig, run_experiment
 from subsketch.losses import make_loss
@@ -50,6 +51,20 @@ class TestRecoveryCertificates:
 
     def test_11_kernel_feature_consistency(self):
         _report(certify.kernel_feature_consistency())
+
+    def test_06_11_certificates_check_the_shipped_pipeline(self, monkeypatch):
+        """A sketched solve of the recovery pipeline that is off by 1e-3
+        relative fails both suites that compare the pipeline with an
+        independent route."""
+        solve = estimators.solve_sketched
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            return dataclasses.replace(res, minimizer=res.minimizer * (1.0 + 1e-3))
+
+        monkeypatch.setattr(estimators, "solve_sketched", perturbed)
+        assert not certify.whitened_equivalence().passed
+        assert not certify.kernel_feature_consistency().passed
 
     def test_12_risk_limit(self):
         _report(certify.risk_limit())
@@ -119,7 +134,7 @@ class TestInfrastructure:
         for kind in ("adaptive-gaussian", "adaptive-srht", "oblivious-gaussian",
                      "column-subsample"):
             sketch = build_sketch(A, EmbeddingSpec(kind, m=7, seed=SeededRng(89)))
-            r = sketch.rank
+            r = sketch.q_s.shape[1]
             worst_wht = max(worst_wht, np.abs(sketch.q_s.T @ sketch.q_s - np.eye(r)).max())
             gap = np.abs(sketch.s - sketch.q_s @ (sketch.q_s.T @ sketch.s)).max()
             assert gap <= 1e-8 * np.linalg.norm(sketch.s)

@@ -203,9 +203,10 @@ class TestObliviousDagger:
         A, loss = _instance(15, 30, seed=18)
         rep = recover_oblivious_dagger(A, loss, 0.1, 6, SeededRng(19), TIGHT)
         Q = sample_gaussian_matrix(30, 6, 1.0 / 6, SeededRng(19))
-        assert np.array_equal(rep.x0, Q @ rep.alpha)
+        coef = np.linalg.lstsq(Q, rep.x0, rcond=None)[0]
+        assert np.linalg.norm(Q @ coef - rep.x0) <= 1e-12 * np.linalg.norm(rep.x0)
         assert np.isnan(rep.residual_norm) and np.isnan(rep.bound_rhs)
-        assert rep.route == "oblivious-dagger"
+        assert not rep.condition_ok
 
 
 class TestNystrom:
@@ -266,15 +267,24 @@ class TestNonsmoothRecovery:
             abs_err = out.report.rel_err_x1 * out.report.x_star_norm
             assert abs_err <= out.report.bound_rhs
 
-    def test_fully_pinned_partition_needs_no_solve(self):
+    def test_fully_pinned_partition_needs_no_solve(self, monkeypatch):
         # a target far from every kink pins the whole subdifferential
+        iterations = []
+        dual = estimators.solve_dual_projected
+
+        def spy(*args, **kwargs):
+            res = dual(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(estimators, "solve_dual_projected", spy)
         base = SeededRng(24)
         A, _ = synth_matrix(10, 15, SpectrumSpec(EXPONENTIAL, nu=0.5), base.derive(0))
         b = 100.0 + np.arange(10.0)
         loss = make_loss("l1", b=b)
         spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=4, seed=base.derive(1))
         out = recover_nonsmooth(A, loss, 1.0, spec)
-        assert out.report.iterations == 0
+        assert iterations[-1] == 0  # the restricted dual
         assert np.array_equal(out.y_star, -np.ones(10))  # sign(w - b) on every coordinate
 
     def test_reference_solve_uses_the_given_options(self, monkeypatch):

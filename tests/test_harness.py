@@ -134,6 +134,18 @@ class TestParseConfig:
         opts = parse_config("recover --n 10 --d 10".split()).solve_options()
         assert (opts.grad_tolerance, opts.max_iters) == (1e-10, 500)
 
+    @pytest.mark.parametrize("flags", [
+        "--lambda -1", "--lambda nan", "--lambda inf", "--tol 0", "--max-iters 0",
+        "--noise-var 0", "--nu 0", "--nu nan", "--decay poly --nu inf",
+        "--decay geom --ratio 1.5", "--m 0", "--m 0,4"])
+    def test_invalid_number_is_usage_error(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(f"recover --n 10 --d 12 --m 4 {flags}".split())
+        assert exc.value.code == 2
+
+    def test_empty_sketch_size_list_is_valid(self):
+        assert ExperimentConfig(experiment="sweep", m_list=[]).m_list == []
+
     def test_certify_needs_no_instance(self):
         cfg = parse_config(["certify", "--suite", "conditioning"])
         assert cfg.suite == "conditioning"

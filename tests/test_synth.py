@@ -3,7 +3,6 @@ import pytest
 
 from subsketch.numkit import SeededRng, thin_svd
 from subsketch.synth import (
-    EXPLICIT,
     EXPONENTIAL,
     GEOMETRIC,
     POLYNOMIAL,
@@ -26,9 +25,11 @@ class TestSpectrumSpec:
         geom = SpectrumSpec(GEOMETRIC, ratio=0.98).generate(n, 20)
         assert np.allclose(geom, 0.98**j)
 
-    def test_explicit_override_scale(self):
-        vals = SpectrumSpec(EXPLICIT, values=(3.0, 1.0), scale=2.0).generate(2, 2)
-        assert np.allclose(vals, [6.0, 2.0])
+    def test_scale_overrides_the_default(self):
+        vals = SpectrumSpec(GEOMETRIC, ratio=0.5, scale=2.0).generate(3, 2)
+        assert np.allclose(vals, [1.0, 0.5])
+        vals = SpectrumSpec(EXPONENTIAL, nu=2.0, scale=3.0).generate(50, 2)
+        assert np.allclose(vals, 3.0 * np.exp(-np.arange(1.0, 3.0)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,26 +37,20 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec(GEOMETRIC, ratio=1.2)
         with pytest.raises(ValueError):
-            SpectrumSpec(EXPLICIT)
-        with pytest.raises(ValueError):
-            SpectrumSpec(EXPLICIT, values=(1.0, 2.0)).generate(2, 2)
+            SpectrumSpec("explicit")
 
 
 class TestSynthMatrix:
-    def test_explicit_spectrum_recovered(self):
-        A, summary = synth_matrix(2, 2, SpectrumSpec(EXPLICIT, values=(3.0, 1.0)), SeededRng(1))
+    def test_spectrum_recovered(self):
+        spec = SpectrumSpec(GEOMETRIC, ratio=1.0 / 3.0, scale=9.0)
+        A, summary = synth_matrix(2, 2, spec, SeededRng(1))
         f = thin_svd(A)
         assert np.allclose(f.singular_values, [3.0, 1.0], atol=1e-10)
-        assert np.array_equal(summary.singular_values, [3.0, 1.0])
-
-    def test_equal_spectrum_gives_scaled_orthogonal(self):
-        A, _ = synth_matrix(4, 4, SpectrumSpec(EXPLICIT, values=(2.0,) * 4), SeededRng(2))
-        assert np.abs(A.T @ A - 4.0 * np.eye(4)).max() <= 1e-8
+        assert np.array_equal(summary.singular_values, spec.generate(2, 2))
 
     def test_spectra_match_for_all_kinds_and_shapes(self):
         specs = [SpectrumSpec(POLYNOMIAL, nu=0.5), SpectrumSpec(EXPONENTIAL, nu=0.2),
-                 SpectrumSpec(GEOMETRIC, ratio=0.9),
-                 SpectrumSpec(EXPLICIT, values=tuple(np.linspace(5, 1, 30)))]
+                 SpectrumSpec(GEOMETRIC, ratio=0.9)]
         shapes = [(10, 17), (17, 10), (12, 12), (30, 5), (5, 30)]
         for spec in specs:
             for i, (n, d) in enumerate(shapes):
