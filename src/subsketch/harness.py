@@ -3,8 +3,7 @@ persistence, and the certification entry point.
 
 Every run is deterministic given its base seed: the trial at sweep cell
 ``(trial, m_index)`` draws from the Philox stream ``mix64(trial, m_index)``
-under the base seed, so results are reproducible cell by cell regardless of
-execution order or the size of the worker pool (``SUBSKETCH_THREADS``).
+under the base seed, so results are reproducible cell by cell.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -195,19 +193,31 @@ class ExperimentConfig:
         if self.loss not in SMOOTH_KINDS + NONSMOOTH_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.m_list != sorted(self.m_list):
-            raise ValueError("m list must be sorted ascending")
-        self.spectrum()
-        self.solve_options()
-        if not (0 < self.lam < np.inf and 0 < self.noise_var < np.inf):
-            raise ValueError("lambda and noise_var must be positive and finite")
+            raise ValueError("--m must be sorted ascending")
         if any(m < 1 for m in self.m_list):
-            raise ValueError("every sketch size m must be >= 1")
-        if self.trials < 1 or self.T < 1:
-            raise ValueError("trials and T must be >= 1")
+            raise ValueError("--m: every sketch size must be >= 1")
+        for flag, count in (("--n", self.n), ("--d", self.d), ("--trials", self.trials),
+                            ("--T", self.T), ("--max-iters", self.max_iters)):
+            if count < 1:
+                raise ValueError(f"{flag} must be >= 1, not {count}")
+        for flag, value in (("--lambda", self.lam), ("--noise-var", self.noise_var)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{flag} must be positive and finite, not {value}")
+        # Newton stops once |g| <= tol max(1, |g0|), which tol >= 1 meets at the start
+        if not 0 < self.tol < 1:
+            raise ValueError(f"--tol must lie in (0, 1), not {self.tol}")
+        flag = "--ratio" if self.decay == synth.GEOMETRIC else "--nu"
+        try:
+            spectrum = self.spectrum()
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+        if not spectrum.generate(self.n, self.d)[-1] > 0:
+            raise ValueError(f"{flag}: the smallest of the {min(self.n, self.d)} singular "
+                             "values underflows to 0")
         adaptive = EMBEDDING_NAMES[self.embedding] in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)
         # certify draws no embedding from these flags
         if self.q < 0 or (self.q != 0 and not adaptive and self.experiment != "certify"):
-            raise ValueError(f"q must be >= 0, and 0 for embedding {self.embedding!r}, "
+            raise ValueError(f"--q must be >= 0, and 0 for embedding {self.embedding!r}, "
                              "which takes no power iterations")
         # combinations whose every cell would raise
         if self.embedding == "oblivious-dagger" and self.experiment in (
@@ -222,12 +232,14 @@ class ExperimentConfig:
                 "adaptive-gaussian", "adaptive-srht", "nystrom"):
             raise ValueError("kernel sketches the n sample coordinates: use --embedding "
                              "adaptive-gaussian, adaptive-srht or nystrom")
-        cap = {"srht": next_pow2(self.d), "adaptive-srht": next_pow2(self.n),
-               "nystrom": self.n}.get(self.embedding)
+        if self.embedding in ("srht", "adaptive-srht"):
+            cap = next_pow2(self.d if self.embedding == "srht" else self.n)
+        else:
+            cap = self.n if self.embedding == "nystrom" else None
         m_max = max(self.m_list, default=0)
         # every experiment but certify draws the configured embedding
         if cap is not None and self.experiment != "certify" and m_max > cap:
-            raise ValueError(f"sketch size m={m_max} exceeds {cap}, the largest "
+            raise ValueError(f"--m {m_max} exceeds {cap}, the largest "
                              f"a {self.embedding!r} draw allows at n={self.n}, d={self.d}")
 
     def spectrum(self) -> synth.SpectrumSpec:
@@ -391,8 +403,7 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
 # The set-up of the last run_experiment call:
 # (key, (A, summary, loss, x_star, reference_converged)).
 # One slot, emptied before a new set-up is built, so at most one instance is
-# ever resident.  It is read once into a local, so a concurrent call that
-# replaces it cannot hand this call another config's set-up.
+# ever resident.
 _last_setup = (None, None)
 
 
@@ -443,49 +454,27 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     record either; it is listed under ``not_converged``.  If the reference solve
     did not converge, no cell writes records and the summary sets
     ``reference_not_converged``."""
-    workers = _worker_count()
     A, summary, loss, x_star, reference_converged = _setup(config)
-
-    cells = [(trial, m_idx, m)
-             for trial in range(config.trials)
-             for m_idx, m in enumerate(config.m_list)]
-    if config.experiment == "risk":
-        # trials are the noise draws inside each cell; one cell per m
-        cells = [(0, m_idx, m) for m_idx, m in enumerate(config.m_list)]
-
-    def work(cell):
-        trial, m_idx, m = cell
-        try:
-            return cell, *_run_cell(config, A, summary, loss, x_star, trial, m_idx, m), None
-        except Exception as exc:
-            log.exception("cell (trial=%s, m=%s) failed", trial, m)
-            return cell, [], [], {"trial": trial, "m": m,
-                                  "error": f"{type(exc).__name__}: {exc}"}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(cell) for cell in cells]
-    results.sort(key=lambda res: (res[0][0], res[0][1]))
-    records = [rec for _, recs, _, _ in results for rec in recs] if reference_converged else []
+    # trials of a risk config are the noise draws inside each cell; one cell per m
+    trials = 1 if config.experiment == "risk" else config.trials
+    records, failed, not_converged = [], [], []
+    for trial in range(trials):
+        for m_idx, m in enumerate(config.m_list):
+            try:
+                recs, stalled = _run_cell(config, A, summary, loss, x_star, trial, m_idx, m)
+            except Exception as exc:
+                log.exception("cell (trial=%s, m=%s) failed", trial, m)
+                failed.append({"trial": trial, "m": m,
+                               "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            records += recs
+            not_converged += stalled
+    if not reference_converged:
+        records = []
     write_records(config.out_path, records)
-    write_summary(_summary_path(config), records, [fail for *_, fail in results if fail],
-                  [entry for _, _, stalled, _ in results for entry in stalled],
+    write_summary(_summary_path(config), records, failed, not_converged,
                   not reference_converged)
     return records
-
-
-def _worker_count() -> int:
-    """The cell worker count from ``SUBSKETCH_THREADS`` (default 1)."""
-    text = os.environ.get("SUBSKETCH_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SUBSKETCH_THREADS must be an integer >= 1, not {text!r}")
-    return workers
 
 
 def _summary_path(config: ExperimentConfig) -> str:

@@ -1,5 +1,5 @@
 import json
-import os
+import re
 import weakref
 from dataclasses import fields
 
@@ -135,13 +135,16 @@ class TestParseConfig:
         assert (opts.grad_tolerance, opts.max_iters) == (1e-10, 500)
 
     @pytest.mark.parametrize("flags", [
-        "--lambda -1", "--lambda nan", "--lambda inf", "--tol 0", "--max-iters 0",
-        "--noise-var 0", "--nu 0", "--nu nan", "--decay poly --nu inf",
-        "--decay geom --ratio 1.5", "--m 0", "--m 0,4"])
-    def test_invalid_number_is_usage_error(self, flags):
+        "--lambda -1", "--lambda nan", "--lambda inf", "--tol 0", "--tol 1", "--tol inf",
+        "--max-iters 0", "--noise-var 0", "--nu 0", "--nu nan", "--decay poly --nu inf",
+        "--nu 2000", "--decay poly --nu 2000", "--decay geom --ratio 1.5",
+        "--decay geom --ratio 1e-200", "--m 0", "--m 0,4", "--n 0", "--d 0"])
+    def test_invalid_number_is_usage_error(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(f"recover --n 10 --d 12 --m 4 {flags}".split())
         assert exc.value.code == 2
+        flag = flags.split()[-2]
+        assert re.search(rf"error: .*{flag}\b", capsys.readouterr().err)
 
     def test_empty_sketch_size_list_is_valid(self):
         assert ExperimentConfig(experiment="sweep", m_list=[]).m_list == []
@@ -273,10 +276,12 @@ class TestRunExperiment:
         assert rows_a == rows_b
 
     def test_rows_ordered_by_trial_then_m(self, tmp_path):
-        cfg = _mini_config(tmp_path, experiment="sweep")
-        records = run_experiment(cfg)
-        keys = [(r.trial, r.m) for r in records]
-        assert keys == sorted(keys)
+        # a risk config runs one cell per m, with its trials inside the cell
+        for cfg, cells in [
+                (_mini_config(tmp_path, experiment="sweep"), [(0, 4), (0, 8), (1, 4), (1, 8)]),
+                (_mini_config(tmp_path, experiment="risk", loss="quadratic",
+                              embedding="gaussian", trials=30, lam=1e-8), [(0, 4), (0, 8)])]:
+            assert [(r.trial, r.m) for r in run_experiment(cfg)] == cells
 
     def test_summary_written(self, tmp_path):
         cfg = _mini_config(tmp_path, experiment="sweep")
@@ -321,25 +326,6 @@ class TestRunExperiment:
         cfg = _mini_config(tmp_path, embedding="oblivious-dagger", trials=1, m_list=[6])
         rec = run_experiment(cfg)[0]
         assert np.isfinite(rec.rel_err_x1)
-
-    @pytest.mark.parametrize("value", ["two", "", "1.5", "0", "-2"])
-    def test_bad_thread_count_fails_before_setup(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("SUBSKETCH_THREADS", value)
-        monkeypatch.setattr(harness, "_setup", lambda config: pytest.fail("set-up ran"))
-        with pytest.raises(ValueError, match="SUBSKETCH_THREADS must be an integer >= 1"):
-            run_experiment(_mini_config(tmp_path))
-        assert not os.path.exists(tmp_path / "recover.csv")
-
-    def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
-        cfg_s = _mini_config(tmp_path, experiment="sweep", out_path=str(tmp_path / "s.csv"))
-        run_experiment(cfg_s)
-        monkeypatch.setenv("SUBSKETCH_THREADS", "4")
-        cfg_p = _mini_config(tmp_path, experiment="sweep", out_path=str(tmp_path / "p.csv"))
-        run_experiment(cfg_p)
-        idx = CSV_COLUMNS.index("runtime_ms")
-        rows_s = [line.split(",")[:idx] for line in open(tmp_path / "s.csv")]
-        rows_p = [line.split(",")[:idx] for line in open(tmp_path / "p.csv")]
-        assert rows_s == rows_p
 
 
 class TestKernelCells:
