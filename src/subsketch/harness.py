@@ -216,8 +216,10 @@ class ExperimentConfig:
                              "values underflows to 0")
         adaptive = EMBEDDING_NAMES[self.embedding] in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)
         # certify draws no embedding from these flags
-        if self.q < 0 or (self.q != 0 and not adaptive and self.experiment != "certify"):
-            raise ValueError(f"--q must be >= 0, and 0 for embedding {self.embedding!r}, "
+        if self.q < 0:
+            raise ValueError(f"--q must be >= 0, not {self.q}")
+        if self.q != 0 and not adaptive and self.experiment != "certify":
+            raise ValueError(f"--q must be 0 for embedding {self.embedding!r}, "
                              "which takes no power iterations")
         # combinations whose every cell would raise
         if self.embedding == "oblivious-dagger" and self.experiment in (

@@ -16,15 +16,16 @@ cores and slow numpy's work down.  numpy's pool keeps following
 ``OPENBLAS_NUM_THREADS``.  The package splits its dense work between the two:
 
 - scipy's one-thread LAPACK runs every factorization: the thin SVD here
-  (``gesdd``, with a ``gesvd`` fallback), which also solves the dual
-  finisher's faces that LU does not solve exactly, the QR of
+  (``gesdd``, with a ``gesvd`` fallback), the QR of
   :func:`sample_haar_frame`, the SVDs of ``analysis.condition_numbers``, the
-  ``syevd`` of ``kernelize.kernel_root`` and the least squares (``gelsd``)
-  that backs up a singular Newton step; also L-BFGS-B in the non-smooth dual
-  and ``dstebz`` on a k x k tridiagonal here.
+  ``syevd`` of ``kernelize.kernel_root``, the least squares (``gelsd``) that
+  backs up a singular Newton step, and the dual finisher's factor of its
+  face (a pivoted QR, ``geqp3``, then triangular solves, ``trtrs``, and
+  Givens deletions, ``qr_delete``); also L-BFGS-B in the non-smooth dual and
+  ``dstebz`` on a k x k tridiagonal here.
 - numpy's pool runs the matrix products (the sketch draws, the Hadamard
-  stages, ``A @ q_s``, the Newton Hessians) and the LU solves of the Newton
-  steps and of the dual finisher.
+  stages, ``A @ q_s``, the Newton Hessians, the finisher's gradients) and the
+  LU solves of the Newton steps.
 
 The reason is measured (2 vCPU, numpy's pool at 2 threads): at these sizes a
 factorization is up to twice as fast at one thread as at two (``gesdd`` of

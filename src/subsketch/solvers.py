@@ -7,13 +7,19 @@ than the arithmetic).  The non-smooth losses are handled entirely through their
 Fenchel duals, convex quadratics over the feasible set each loss hands over (a
 box, a signed simplex face or the L1 ball).  One primal active-set routine
 solves all three, as bounds plus at most one equality (the ball through its
-lifting to a simplex), in one pass: each face by LU, or by a thin SVD of its
-columns when LU is not exact.  The pass is certified by its duality gap
-relative to the objective, which, like Newton's test, ignores its scale.
+lifting to a simplex), in one pass that keeps one factorization of its free
+columns: a pivoted QR of the starting face, whose triangle is then updated as
+each bound is freed or pinned (Gill, Golub, Murray & Saunders, Math. Comp.
+1974).  The pass is certified by its duality gap relative to the objective,
+which, like Newton's test, ignores its scale.
 
-A box dual starts from scipy's L-BFGS-B, run for a fixed 300 iterations: it
-only has to find the face, which the finisher then solves exactly (at n=1000,
-200 and 250 iterations left faces on which LAPACK's least squares failed).
+A box dual starts from scipy's L-BFGS-B, run for a fixed 100 iterations: it
+only has to find the face, which the finisher then solves exactly.  Of the
+caps 300, 150, 125, 100, 75 and 50, 100 took the least time on the box duals
+of perfbench's nonsmooth-dual, and in the nonsmooth-bound certificate it beat
+300 as 150 and 125 did; fewer iterations leave the finisher more rounds, and
+the finisher alone from the projected start is slower still and leaves cold
+duals unconverged at its round limit (BENCH_active_set.json).
 L-BFGS-B's BLAS work is small and serial; it runs in scipy's OpenBLAS pool,
 which :mod:`subsketch.numkit` holds at one thread so that it does not compete
 for cores with numpy's pool.  It keeps scipy's default of 10 correction pairs.
@@ -25,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from subsketch.losses import BoxSet, L1BallSet, NonSmoothLoss, SimplexFaceSet, SmoothLoss
-from subsketch.numkit import ConvergenceError, thin_svd
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -215,17 +221,80 @@ def _dual_objective(y, By, b_linear, lam):
 
 
 def _lbfgsb_box(B, b_linear, lam, lows, highs, y0):
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     def fun_grad(y):
         By = B @ y
         return _dual_objective(y, By, b_linear, lam), b_linear + (B.T @ By) / lam
 
-    # 300 iterations find the face that the finisher solves (module docstring)
-    res = minimize(fun_grad, y0, jac=True, method="L-BFGS-B",
-                   bounds=np.column_stack([lows, highs]),
-                   options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
+    # 100 iterations find the face that the finisher solves (module docstring)
+    res = minimize(fun_grad, y0, jac=True, method="L-BFGS-B", bounds=Bounds(lows, highs),
+                   options={"maxiter": 100, "ftol": 1e-18, "gtol": 1e-14})
     return res.x
+
+
+class _Face:
+    """The free columns of M, which is B with the row ``arow`` appended when
+    one is given: a basis of independent columns, kept as M_b in ``cols`` and
+    as the triangle R with R.T R = M_b.T M_b (no orthogonal factor), and the
+    non-basis columns, each within ``tol`` of its span."""
+
+    def __init__(self, B, arow, free, tol):
+        self.B, self.arow, self.tol, k = B, arow, tol, 0
+        rows = B.shape[0] + (arow is not None)
+        self.cols = np.empty((rows, min(rows, B.shape[1])), order="F")
+        if free.size:  # the basis that the pivoted QR (geqp3) picks
+            R, perm = scipy.linalg.qr(self.columns(free), mode="r", pivoting=True,
+                                      check_finite=False)
+            k = int(np.count_nonzero(np.minimum.accumulate(np.abs(np.diagonal(R))) > tol))
+            free = free[perm]
+            self.cols[:, :k] = self.columns(free[:k])
+        self.R = np.asfortranarray(R[:k, :k]) if k else np.zeros((0, 0), order="F")
+        self.basis, self.nonbasis = list(free[:k]), list(free[k:])
+
+    def columns(self, idx):  # M[:, idx], formed on demand
+        return self.B[:, idx] if self.arow is None else np.vstack([self.B[:, idx], self.arow[idx]])
+
+    def solve(self, x):  # (M_b.T M_b)^-1 x by two triangular solves
+        return _trtrs(self.R, _trtrs(self.R, x, trans=1)[0])[0] if self.basis else 0 * x
+
+    def add(self, j):
+        # column j joins the basis as one new row and column of R, in O(m k + k^2),
+        # if its residual on the basis (least squares, refined once) exceeds tol
+        c, k, rho = self.columns([j])[:, 0], len(self.basis), 0.0
+        if k < self.cols.shape[1]:
+            Mb, coef, resid = self.cols[:, :k], np.zeros(k), c
+            for _ in range(2):
+                coef = coef + self.solve(Mb.T @ resid)
+                resid = c - Mb @ coef
+            rho = float(np.linalg.norm(resid))
+        if not rho > self.tol:
+            self.nonbasis.append(j)
+            return
+        R = np.zeros((k + 1, k + 1), order="F")
+        R[:k, :k], R[:k, k], R[k, k] = self.R, self.R @ coef, rho
+        self.R, self.cols[:, k] = R, c
+        self.basis.append(j)
+
+    def remove(self, j):
+        # a basis column leaves R through Givens rotations (qr_delete, the identity
+        # standing in for Q); the non-basis column with the largest coefficient on
+        # it, in row p of M_b^+ M_r, is then offered in its place
+        if j in self.nonbasis:
+            self.nonbasis.remove(j)
+            return
+        p, k, R, promoted = self.basis.index(j), len(self.basis), self.R, None
+        if self.nonbasis:
+            u = self.cols[:, :k] @ self.solve(np.eye(1, k, p)[0])
+            promoted = self.nonbasis.pop(int(np.argmax(np.abs(self.columns(self.nonbasis).T @ u))))
+        if p < k - 1:
+            R = scipy.linalg.qr_delete(np.eye(k, order="F"), R, p, which="col",
+                                       overwrite_qr=True, check_finite=False)[1]
+        self.R = np.asfortranarray(R[:k - 1, :k - 1])
+        self.cols[:, p:k - 1] = self.cols[:, p + 1:k]
+        del self.basis[p]
+        if promoted is not None:
+            self.add(promoted)
 
 
 def _active_set(B, b_linear, lam, lows, highs, y, a=None):
@@ -233,56 +302,63 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
     ``lows <= y <= highs``, with ``a.y`` held at its value at the feasible start
     ``y`` when ``a`` is given.
 
-    Each round solves the KKT system of the free coordinates F by LU if that
-    leaves a relative residual of at most 1e-12, else through a thin SVD of
-    B_F (B_F.T B_F squares its condition), with B_F and g_F projected off a_F:
-    the Newton step -lam V S^-2 V.T g_F if g_F lies in B_F's row space, else a
-    descent along the rest of g_F, of zero curvature.  A step blocked by a bound
-    pins that coordinate; after a full Newton step the pinned coordinate whose
-    multiplier has the wrong sign is freed, until none has, for at most
-    2 len(y) + 20 rounds."""
+    The free coordinates F are factored once as a :class:`_Face` of M = B, or
+    of B with the row a appended, so that M_F's null directions keep a.y; each
+    bound freed or pinned then updates that factor.  While g_F has a part in
+    that null space, the round takes d = N v, N = [-M_b^+ M_r; I] and
+    v = -N.T g_F, a descent of zero curvature, with an exact line search; else
+    the basis's Newton step, its multiplier for a from a second solve with the
+    factor.  A Newton step with a normwise backward error above 1e-10
+    refactors the face, and one from a fresh factor ends the solve.  A step
+    blocked by a bound pins that coordinate; after a full Newton step the
+    pinned coordinate whose multiplier has the wrong sign is freed, until none
+    has, for at most 2 len(y) + 20 rounds."""
     y = np.array(y, dtype=float)
     near = 1e-12 * (1.0 + np.abs(y))
     side = np.where(y - lows <= near, -1, np.where(highs - y <= near, 1, 0))
     y = np.where(side < 0, lows, np.where(side > 0, highs, y))
+    scale = float(np.sqrt(np.max(np.einsum("ij,ij->j", B, B), initial=0.0))) or 1.0
+    arow = None if a is None else scale * a  # the equality row, scaled to B's columns
+    tol = np.finfo(float).eps * max(B.shape[0] + 1, B.shape[1]) * scale  # gelsd's cutoff
+    face, fresh = _Face(B, arow, np.flatnonzero(side == 0), tol), True
     g = b_linear + (B.T @ (B @ y)) / lam
     for _ in range(2 * y.size + 20):
-        free = np.flatnonzero(side == 0)
+        basis, rest = np.array(face.basis, dtype=int), np.array(face.nonbasis, dtype=int)
+        free, k, solved = np.concatenate([basis, rest]), basis.size, True
+        Mb = face.cols[:, :k]
         if free.size:
-            Bf = B[:, free]
-            K = (Bf.T @ Bf) / lam
-            rhs = -g[free]
-            if a is not None:  # the equality row scaled to the Hessian's
-                c = float(np.abs(K).max()) or 1.0
-                K = np.block([[K, c * a[free, None]], [c * a[None, free], np.zeros((1, 1))]])
-                rhs = np.append(rhs, 0.0)
-            try:  # LU in numpy's LAPACK
-                sol = np.linalg.solve(K, rhs)
-                resid = rhs - K @ sol
-                solved = resid @ resid <= 1e-24 * (rhs @ rhs)  # False for a non-finite sol
-            except np.linalg.LinAlgError:
-                solved = False
-            t_full = 1.0
+            af = None if a is None else a[free] / np.linalg.norm(a[free])
+            gp = g[free] if af is None else g[free] - af * (af @ g[free])
+            if rest.size:
+                Mr = face.columns(rest)
+                v = Mr.T @ (Mb @ face.solve(gp[:k])) - gp[k:]
+            if rest.size and v @ v > 1e-16 * (gp @ gp):  # a null-space part of g_F
+                d = np.concatenate([-face.solve(Mb.T @ (Mr @ v)), v])
+                if af is not None:  # N v keeps a.d = 0 only to the factor's accuracy
+                    d -= af * (af @ d)
+                Bd = B[:, free] @ d
+                curv, slope = float(Bd @ Bd), float(g[free] @ d)
+                if slope < 0:  # else the Newton step below
+                    t_full, solved = (-lam * slope / curv if curv > 0 else np.inf), False
             if solved:
-                d = sol[:free.size]
-            else:
-                Bp, gp = Bf, g[free]
-                if a is not None:
-                    af = a[free] / np.linalg.norm(a[free])
-                    Bp, gp = Bp - np.outer(Bp @ af, af), gp - af * float(af @ gp)
-                # at gelsd's cutoff, in scipy's one-thread LAPACK (numkit docstring)
-                svd = thin_svd(Bp, np.finfo(float).eps * max(Bp.shape))
-                coef = svd.vt @ gp
-                d = svd.vt.T @ coef - gp  # minus the part of g_F outside the row space
-                solved = d @ d <= 1e-16 * (gp @ gp)
-                if solved:
-                    d = -lam * (svd.vt.T @ (coef / svd.singular_values ** 2))
-                else:  # exact line search
-                    Bd = Bf @ d
-                    curv = float(Bd @ Bd)
-                    t_full = -lam * float(g[free] @ d) / curv if curv > 0 else np.inf
-            if a is not None:  # the face solve holds a.d = 0 only to its residual
-                d = d - a[free] * (float(a[free] @ d) / float(a[free] @ a[free]))
+                ab = np.zeros(k) if a is None else a[basis]
+                step, nu = face.solve(g[basis]), 0.0
+                if a is not None and k:
+                    sa = face.solve(ab)
+                    nu = float(ab @ step) / float(ab @ sa)
+                    step -= nu * sa
+                step *= -lam
+                Bb = Mb if a is None else Mb[:-1]
+                resid = np.linalg.norm(g[basis] - nu * ab + Bb.T @ (Bb @ step) / lam)
+                if not resid <= 1e-10 * (np.linalg.norm(g[basis]) + abs(nu) * np.linalg.norm(ab)
+                                         + k * scale ** 2 * np.linalg.norm(step) / lam):
+                    if fresh:  # also for a non-finite step
+                        break
+                    face, fresh = _Face(B, arow, free, tol), True
+                    continue
+                d, t_full = np.concatenate([step, np.zeros(rest.size)]), 1.0
+                if af is not None:  # the face solve keeps a.d = 0 only to its residual
+                    d -= af * (af @ d)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_bound = np.where(d < 0, (lows[free] - y[free]) / d,
                                    np.where(d > 0, (highs[free] - y[free]) / d, np.inf))
@@ -292,6 +368,8 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
                 y[free] += max(t_bound[j], 0.0) * d
                 side[free[j]] = 1 if d[j] > 0 else -1
                 y[free[j]] = highs[free[j]] if d[j] > 0 else lows[free[j]]
+                face.remove(free[j])
+                fresh = False
             else:
                 y[free] = np.clip(y[free] + t_full * d, lows[free], highs[free])
             g = b_linear + (B.T @ (B @ y)) / lam
@@ -306,6 +384,8 @@ def _active_set(B, b_linear, lam, lows, highs, y, a=None):
         if wrong[j] <= 1e-12 * (1.0 + abs(nu) + float(np.abs(g).max())):
             break
         side[j] = 0
+        face.add(j)
+        fresh = False
     return y
 
 
@@ -327,27 +407,24 @@ def solve_dual_projected(B, b_linear, lam: float, feasible_set,
     b_linear = np.asarray(b_linear, dtype=float)
     feas = feasible_set
     y = feas.project(np.zeros(b_linear.size) if y0 is None else np.asarray(y0, float))
-    try:  # a face SVD that fails in gesdd and gesvd leaves the start to the gap test
-        if isinstance(feas, BoxSet):
-            start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
-            y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
-        elif isinstance(feas, SimplexFaceSet):
-            s = feas.signs
-            y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
-                             np.where(s > 0, np.inf, 0.0), y, s)
-        elif isinstance(feas, L1BallSet):
-            n = y.size
-            z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
-                            np.concatenate([b_linear, -b_linear, [0.0]]), lam,
-                            np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
-                            np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
-                                            [feas.radius - np.abs(y).sum()]]),
-                            np.ones(2 * n + 1))
-            y1 = z[:n] - z[n:2 * n]
-        else:
-            raise TypeError(f"no dual solver for a {type(feas).__name__}")
-    except ConvergenceError:
-        y1 = y
+    if isinstance(feas, BoxSet):
+        start = feas.project(_lbfgsb_box(B, b_linear, lam, feas.lows, feas.highs, y))
+        y1 = _active_set(B, b_linear, lam, feas.lows, feas.highs, start)
+    elif isinstance(feas, SimplexFaceSet):
+        s = feas.signs
+        y1 = _active_set(B, b_linear, lam, np.where(s < 0, -np.inf, 0.0),
+                         np.where(s > 0, np.inf, 0.0), y, s)
+    elif isinstance(feas, L1BallSet):
+        n = y.size
+        z = _active_set(np.hstack([B, -B, np.zeros((B.shape[0], 1))]),
+                        np.concatenate([b_linear, -b_linear, [0.0]]), lam,
+                        np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf),
+                        np.concatenate([np.maximum(y, 0.0), np.maximum(-y, 0.0),
+                                        [feas.radius - np.abs(y).sum()]]),
+                        np.ones(2 * n + 1))
+        y1 = z[:n] - z[n:2 * n]
+    else:
+        raise TypeError(f"no dual solver for a {type(feas).__name__}")
     By, By1 = B @ y, B @ y1
     objective = _dual_objective(y, By, b_linear, lam)
     objective1 = _dual_objective(y1, By1, b_linear, lam)

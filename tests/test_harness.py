@@ -94,16 +94,25 @@ class TestParseConfig:
             with pytest.raises(SystemExit):
                 parse_config(f"kernel --n 10 --d 12 {flags}".split())
 
-    def test_power_iterations_only_for_adaptive_embeddings(self):
-        # a row's q column must be the power its draw took
+    def test_power_iterations_only_for_adaptive_embeddings(self, capsys):
+        # a row's q column must be the power its draw took; each rule has its own message
         assert parse_config("recover --n 16 --d 24 --embedding adaptive-gaussian --q 2".split())
-        for argv in ("kernel --n 16 --d 24 --m 4 --embedding nystrom --q 2",
-                     "recover --n 16 --d 24 --m 4 --embedding srht --q 1",
-                     "sweep --n 16 --d 24 --embedding gaussian --q 1",
-                     "recover --n 16 --d 24 --embedding oblivious-dagger --q 1",
-                     "recover --n 16 --d 24 --embedding adaptive-gaussian --q -1"):
+        for argv, message in (
+                ("kernel --n 16 --d 24 --m 4 --embedding nystrom --q 2",
+                 "--q must be 0 for embedding 'nystrom', which takes no power iterations"),
+                ("recover --n 16 --d 24 --m 4 --embedding srht --q 1",
+                 "--q must be 0 for embedding 'srht', which takes no power iterations"),
+                ("sweep --n 16 --d 24 --embedding gaussian --q 1",
+                 "--q must be 0 for embedding 'gaussian', which takes no power iterations"),
+                ("recover --n 16 --d 24 --embedding oblivious-dagger --q 1",
+                 "--q must be 0 for embedding 'oblivious-dagger', which takes no power "
+                 "iterations"),
+                ("recover --n 16 --d 24 --embedding adaptive-gaussian --q -1",
+                 "--q must be >= 0, not -1")):
             with pytest.raises(SystemExit):
                 parse_config(argv.split())
+            err = capsys.readouterr().err
+            assert err.rstrip().endswith(f"error: {message}"), err
         assert parse_config("certify --embedding srht --q 1".split())
 
     def test_srht_size_capped_by_padded_feature_dimension(self):

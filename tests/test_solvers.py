@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from oracles import (
@@ -11,7 +12,7 @@ from oracles import (
     simplex_projection_bisection,
 )
 from test_golden_outputs import CASES
-from subsketch import estimators, solvers
+from subsketch import estimators, numkit, solvers
 from subsketch.embeddings import ADAPTIVE_GAUSSIAN, EmbeddingSpec, build_sketch
 from subsketch.harness import ExperimentConfig, build_instance, parse_config, run_experiment
 from subsketch.losses import (
@@ -23,7 +24,7 @@ from subsketch.losses import (
     project_l1_ball,
     project_scaled_simplex,
 )
-from subsketch.numkit import ConvergenceError, SeededRng, thin_svd
+from subsketch.numkit import SeededRng, thin_svd
 from subsketch.solvers import (
     SolveOptions,
     _newton_step_direct,
@@ -344,10 +345,10 @@ class TestDualProjected:
         pytest.param("--n 200 --d 150 --ratio 0.9 --loss hinge --lambda 1e-3 --seed 0",
                      -146.01444, id="hinge-n200")])
     def test_one_pass_solves_d_lt_n_duals(self, argv, optimum):
-        """The reference duals of two d < n runs, on whose faces LU is not
-        exact: the finisher solves them through the SVD of the face's columns
-        (at the least squares of B_F.T B_F / lam it stopped at -3.2610 and
-        -92.95)."""
+        """The reference duals of two d < n runs, whose faces have dependent
+        columns: the finisher solves them through the non-basis columns of its
+        face factor (at the least squares of B_F.T B_F / lam it stopped at
+        -3.2610 and -92.95)."""
         config = parse_config(f"nonsmooth --decay geom {argv}".split())
         A, _, loss = build_instance(config)
         res = solve_dual_projected(A.T, loss.b, config.lam, loss.conjugate_domain(),
@@ -379,11 +380,24 @@ class TestDualProjected:
             assert res.iterations == 0 and res.converged, kind
 
     def test_paired_columns_are_solved_in_one_pass(self, monkeypatch):
-        """Paired columns make every face that frees a pair singular, so LU is
-        not exact there and the SVD of the face's columns solves it."""
-        svd, shapes = solvers.thin_svd, []
-        monkeypatch.setattr(solvers, "thin_svd",
-                            lambda M, tol: shapes.append(M.shape) or svd(M, tol))
+        """Paired columns make every face that frees a pair rank deficient; the
+        finisher solves it through the non-basis columns of its factor, with no
+        SVD, LU solve or least squares (each one here raises)."""
+        def raising(*args, **kwargs):
+            raise AssertionError("the finisher ran a face SVD, LU or least squares")
+
+        monkeypatch.setattr(numkit, "thin_svd", raising)
+        monkeypatch.setattr(scipy.linalg, "svd", raising)
+        monkeypatch.setattr(np.linalg, "solve", raising)
+        monkeypatch.setattr(solvers, "_lstsq", raising)
+        nonbasis = []
+
+        class Recorded(solvers._Face):
+            def solve(self, x):
+                nonbasis.append(len(self.nonbasis))
+                return super().solve(x)
+
+        monkeypatch.setattr(solvers, "_Face", Recorded)
         gen = SeededRng(20).generator()
         C = gen.standard_normal((6, 3))
         B = np.hstack([C, C])
@@ -391,24 +405,56 @@ class TestDualProjected:
         res = solve_dual_projected(B, b, 1.0, make_loss("l1", b=b).conjugate_domain())
         assert res.converged and res.iterations == 0
         assert res.objective == pytest.approx(-0.43774, abs=1e-5)
-        assert shapes  # (6, 6) and (6, 5)
+        assert max(nonbasis) > 0
 
-    def test_failed_face_svd_returns_the_start_unconverged(self, monkeypatch):
-        """A face SVD that raises leaves the projected start to the gap test,
-        which reports it unconverged instead of raising."""
-
-        def fails(M, tol):
-            raise ConvergenceError("SVD did not converge", iterations=0)
-
-        monkeypatch.setattr(solvers, "thin_svd", fails)
+    @staticmethod
+    def _paired_ball():
         gen = SeededRng(20).generator()
         C = gen.standard_normal((6, 3))
-        B = np.hstack([C, C])
-        b = np.tile(gen.standard_normal(3), 2)
-        res = solve_dual_projected(B, b, 1.0, make_loss("l1", b=b).conjugate_domain())
+        return np.hstack([C, C]), np.tile(gen.standard_normal(3), 2), L1BallSet(1.0)
+
+    def test_non_finite_face_factor_returns_the_start_unconverged(self, monkeypatch):
+        """A factor that turns non-finite fails the step's residual check; a
+        fresh one that fails too ends the finisher, and the gap test reports
+        the projected start unconverged instead of raising."""
+        init = solvers._Face.__init__
+
+        def poisoned(self, *args):
+            init(self, *args)
+            self.R = np.full_like(self.R, np.nan)
+
+        monkeypatch.setattr(solvers._Face, "__init__", poisoned)
+        B, b, feas = self._paired_ball()
+        res = solve_dual_projected(B, b, 1.0, feas)
         assert not res.converged and res.iterations == 0
         assert res.objective == 0.0 and not res.minimizer.any()
         assert res.grad_norm > 1e-3
+
+    def test_corrupted_update_refactors_the_face(self, monkeypatch):
+        """An update that leaves a non-finite factor is caught by the next
+        step's residual check, which refactors the face from scratch; the
+        solve then converges to the same point."""
+        B, b, feas = self._paired_ball()
+        clean = solve_dual_projected(B, b, 1.0, feas)
+        init, add = solvers._Face.__init__, solvers._Face.add
+        factored, corrupted = [], []
+
+        def counted(self, *args):
+            factored.append(args[2].size)
+            init(self, *args)
+
+        def corrupts_once(self, j):
+            add(self, j)
+            if not corrupted:
+                corrupted.append(j)
+                self.R = np.full_like(self.R, np.nan)
+
+        monkeypatch.setattr(solvers._Face, "__init__", counted)
+        monkeypatch.setattr(solvers._Face, "add", corrupts_once)
+        res = solve_dual_projected(B, b, 1.0, feas)
+        assert corrupted and len(factored) == 2
+        assert res.converged and res.iterations == 0
+        assert np.abs(res.minimizer - clean.minimizer).max() <= 1e-12
 
     @pytest.mark.parametrize("loss_name", ["l1", "hinge"])
     def test_box_duals_run_lbfgsb_at_scipy_default_memory(self, monkeypatch, loss_name):
@@ -436,6 +482,51 @@ class TestDualProjected:
         for kwargs in calls:
             assert kwargs["method"] == "L-BFGS-B"
             assert "maxcor" not in kwargs.get("options", {})
+
+
+class TestFaceFactor:
+    """The finisher's factor of its free columns under random frees and pins:
+    after every update the kept triangle reproduces the Gram matrix of the
+    basis columns, the basis has the rank of the free columns, and every
+    non-basis column lies in the basis's span."""
+
+    @staticmethod
+    def _matrix(case, gen):
+        if case == "fewer-rows":
+            return gen.standard_normal((8, 30)), None
+        if case == "more-rows":
+            return gen.standard_normal((30, 12)), None
+        if case == "duplicated":
+            B = gen.standard_normal((10, 24))
+            B[:, 1::2] = B[:, ::2]
+            return B, None
+        B = gen.standard_normal((8, 12))  # the L1-ball lifting, with its equality row
+        lifted = np.hstack([B, -B, np.zeros((8, 1))])
+        return lifted, np.linalg.norm(lifted, axis=0).max() * np.ones(25)
+
+    @pytest.mark.parametrize("case", ["fewer-rows", "more-rows", "duplicated", "lifted-l1-ball"])
+    def test_random_frees_and_pins_keep_the_factor(self, case):
+        gen = SeededRng(24).derive(len(case)).generator()
+        B, arow = self._matrix(case, gen)
+        M = B if arow is None else np.vstack([B, arow])
+        tol = np.finfo(float).eps * max(M.shape) * np.linalg.norm(M, axis=0).max()
+        free = gen.random(M.shape[1]) < 0.5
+        face = solvers._Face(B, arow, np.flatnonzero(free), tol)
+        for _ in range(300):
+            j = int(gen.integers(M.shape[1]))
+            face.remove(j) if free[j] else face.add(j)
+            free[j] = not free[j]
+            basis, rest = face.basis, face.nonbasis
+            assert sorted(basis + rest) == list(np.flatnonzero(free))
+            Mb = M[:, basis]
+            gram = Mb.T @ Mb
+            assert not np.tril(face.R, -1).any()
+            assert np.linalg.norm(face.R.T @ face.R - gram) <= 1e-10 * np.linalg.norm(gram)
+            assert np.array_equal(face.cols[:, :len(basis)], Mb)
+            assert len(basis) == (np.linalg.matrix_rank(M[:, free]) if free.any() else 0)
+            if rest:
+                coef = np.linalg.lstsq(Mb, M[:, rest], rcond=None)[0]
+                assert np.linalg.norm(Mb @ coef - M[:, rest]) <= 1e-10 * np.linalg.norm(M[:, rest])
 
 
 def _frank_wolfe_gap(B, b, lam, feas, y):
