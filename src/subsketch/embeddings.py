@@ -7,6 +7,11 @@ Adaptive embeddings have the form ``S = (A.T A)^q A.T S_tilde`` where the inner
 ``S_tilde`` (n x m) is itself oblivious.  Whitening replaces ``S`` by an
 orthonormal basis ``q_s`` of its range, which leaves the recovered estimators
 unchanged but makes the low-dimensional program well conditioned.
+
+An SRHT is ``m`` signed columns of the Walsh-Hadamard matrix, formed in closed
+form from the bits of their indices; no transform runs.  Its columns are
+orthonormal up to one common scale, so the oblivious SRHT is whitened without
+an SVD.
 """
 
 from __future__ import annotations
@@ -67,7 +72,9 @@ class Sketch:
     (the polar factor for full column rank), and ``a_qs = A @ q_s``.  The
     oblivious SRHT (:func:`srht_matrix`) lives in the padded dimension
     ``next_pow2(d)``, and so do its ``s`` and ``q_s``; ``a_qs`` uses the
-    zero-padded data, that is, only the first ``d`` rows of ``q_s``.
+    zero-padded data, that is, only the first ``d`` rows of ``q_s``.  Its
+    ``q_s`` is the signed Hadamard columns themselves, the polar factor of
+    ``s``, with no SVD.
     """
 
     s: np.ndarray
@@ -81,24 +88,6 @@ def next_pow2(p: int) -> int:
     return 1 << (p - 1).bit_length()
 
 
-def _fwht_inplace(X: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform of each column of a C-contiguous
-    ``X`` with a power-of-two row count, in place.  Stage h = 1, 2, 4, ... maps
-    each pair of rows ``h`` apart, ``(a, b)``, to ``(a + b, a - b)``, so every
-    operand is a contiguous run of whole rows; one scratch buffer serves all."""
-    n, w = X.shape
-    scratch = np.empty(n // 2 * w)
-    h = 1
-    while h < n:
-        pairs = X.reshape(-1, 2, h * w)
-        top, bot = pairs[:, 0, :], pairs[:, 1, :]
-        diff = scratch.reshape(top.shape)
-        np.subtract(top, bot, out=diff)
-        top += bot
-        bot[...] = diff
-        h *= 2
-
-
 def _srht_draw(pt: int, m: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
     """The signs of ``D``, then the ``m`` distinct coordinates ``R`` keeps, for an
     SRHT on ``pt`` coordinates, from one generator."""
@@ -109,40 +98,47 @@ def _srht_draw(pt: int, m: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]
     return signs, gen.choice(pt, size=m, replace=False)
 
 
+def _srht_columns(p: int, m: int, rng: SeededRng) -> np.ndarray:
+    """The ``p_tilde x m`` orthonormal columns ``D @ H @ R`` of an SRHT,
+    ``p_tilde = next_pow2(p)``, in closed form: the Hadamard entry of row ``i``
+    and column ``j`` is ``(-1)^popcount(i & j) / sqrt(p_tilde)``, so entry
+    ``(i, k)`` is ``signs[i] * (-1)^popcount(i & cols[k]) / sqrt(p_tilde)``."""
+    pt = next_pow2(p)
+    signs, cols = _srht_draw(pt, m, rng)
+    index = np.min_scalar_type(pt - 1)
+    # bit 0 of the popcount, flipped where signs[i] < 0, is the sign of the entry
+    flip = np.bitwise_count(np.arange(pt, dtype=index)[:, None] & cols.astype(index))
+    flip ^= (signs < 0).astype(np.uint8)[:, None]
+    flip &= 1
+    return (1 - 2 * flip.view(np.int8)) * (1.0 / np.sqrt(pt))
+
+
 def apply_srht(M: np.ndarray, m: int, rng: SeededRng) -> np.ndarray:
-    """Right-multiply ``M`` by an implicit SRHT: ``M @ S`` with
+    """Right-multiply ``M`` by an SRHT: ``M @ S`` with
     ``S = sqrt(p_tilde / m) * D @ H @ R``.
 
-    ``M``'s columns are zero-padded to the next power of two ``p_tilde``; ``D``
+    ``M`` is read as zero-padded to ``p_tilde = next_pow2(p)`` columns; ``D``
     is a random sign flip, ``H`` the orthonormal Walsh-Hadamard transform and
     ``R`` selects ``m`` distinct columns uniformly without replacement.  The
-    implied embedding satisfies ``S.T @ S = (p_tilde / m) * I`` exactly.  Every
-    row of ``M`` is transformed and only the selected columns are scaled; the
-    adaptive SRHT draws its inner matrix ``A.T @ S_tilde`` this way.
+    implied embedding satisfies ``S.T @ S = (p_tilde / m) * I`` exactly.  Only
+    the first ``p`` rows of ``S`` meet ``M``, so the product is one matrix
+    product with them; the adaptive SRHT draws its inner matrix
+    ``A.T @ S_tilde`` this way.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p = M.shape[1]
-    pt = next_pow2(p)
-    signs, cols = _srht_draw(pt, m, rng)
-    T = np.zeros((pt, M.shape[0]))  # (M D).T, so the transform runs down its columns
-    T[:p] = M.T
-    T *= signs[:, None]
-    _fwht_inplace(T)
-    return np.sqrt(pt / m) * (T[cols].T / np.sqrt(pt))
+    return M @ srht_matrix(p, m, rng)[:p]
 
 
 def srht_matrix(p: int, m: int, rng: SeededRng) -> np.ndarray:
     """The ``p_tilde x m`` oblivious SRHT ``S`` that :func:`apply_srht` applies,
-    ``p_tilde = next_pow2(p)``.  ``H @ R`` is the transform of the ``m`` selected
-    unit vectors, so only those are transformed.  Hadamard entries are exactly
-    +-1 and sign flips are exact, so ``S`` equals
-    ``apply_srht(np.eye(p_tilde), m, rng)`` bit for bit."""
-    pt = next_pow2(p)
-    signs, cols = _srht_draw(pt, m, rng)
-    S = np.zeros((pt, m))
-    S[cols, np.arange(m)] = 1.0
-    _fwht_inplace(S)
-    return np.sqrt(pt / m) * (S / np.sqrt(pt) * signs[:, None])
+    ``p_tilde = next_pow2(p)``: ``sqrt(p_tilde / m)`` times the signed Hadamard
+    columns of :func:`_srht_columns`.  Each row of the identity picks one entry
+    of ``S`` exactly, so ``S`` equals ``apply_srht(np.eye(p_tilde), m, rng)``
+    bit for bit."""
+    S = _srht_columns(p, m, rng)
+    S *= np.sqrt(next_pow2(p) / m)
+    return S
 
 
 def _draw_inner(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
@@ -152,7 +148,7 @@ def _draw_inner(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
         s_tilde = sample_gaussian_matrix(n, spec.m, 1.0 / spec.m, spec.seed)
         return A.T @ s_tilde
     if spec.kind == ADAPTIVE_SRHT:
-        # implicit n x m SRHT applied to the columns of A.T, row-wise fast transforms
+        # n x m SRHT applied to the columns of A.T
         return apply_srht(A.T, spec.m, spec.seed)
     if spec.kind == COLUMN_SUBSAMPLE:
         idx = spec.seed.generator().choice(n, size=spec.m, replace=False)
@@ -195,13 +191,16 @@ def build_sketch(A: np.ndarray, spec: EmbeddingSpec) -> Sketch:
     form the sketched data ``A @ q_s``."""
     A = np.asarray(A, dtype=float)
     d = A.shape[1]
-    if spec.kind == OBLIVIOUS_GAUSSIAN:
-        S = sample_gaussian_matrix(d, spec.m, 1.0 / spec.m, spec.seed)
-    elif spec.kind == OBLIVIOUS_SRHT:
-        S = srht_matrix(d, spec.m, spec.seed)
+    if spec.kind == OBLIVIOUS_SRHT:
+        # S is a multiple of orthonormal columns, and they are its polar factor
+        q_s = _srht_columns(d, spec.m, spec.seed)
+        S = np.sqrt(next_pow2(d) / spec.m) * q_s
     else:
-        S = build_adaptive(A, spec)
-    q_s = whiten(S)
+        if spec.kind == OBLIVIOUS_GAUSSIAN:
+            S = sample_gaussian_matrix(d, spec.m, 1.0 / spec.m, spec.seed)
+        else:
+            S = build_adaptive(A, spec)
+        q_s = whiten(S)
     a_qs = A @ q_s[:d, :]
     return Sketch(s=S, q_s=q_s, a_qs=a_qs)
 

@@ -23,9 +23,9 @@ cores and slow numpy's work down.  numpy's pool keeps following
   face (a pivoted QR, ``geqp3``, then triangular solves, ``trtrs``, and
   Givens deletions, ``qr_delete``); also L-BFGS-B in the non-smooth dual and
   ``dstebz`` on a k x k tridiagonal here.
-- numpy's pool runs the matrix products (the sketch draws, the Hadamard
-  stages, ``A @ q_s``, the Newton Hessians, the finisher's gradients) and the
-  LU solves of the Newton steps.
+- numpy's pool runs the matrix products (the sketch draws, among them the
+  product with the SRHT's signed Hadamard columns, ``A @ q_s``, the Newton
+  Hessians, the finisher's gradients) and the LU solves of the Newton steps.
 
 The reason is measured (2 vCPU, numpy's pool at 2 threads): at these sizes a
 factorization is up to twice as fast at one thread as at two (``gesdd`` of

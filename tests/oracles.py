@@ -3,10 +3,11 @@
 Everything here deliberately takes a different computational route from the
 package code: one-sided Jacobi instead of LAPACK SVD, bisection instead of
 sort-and-threshold projections, accelerated gradient instead of Newton, nested
-grid search instead of any solver.  The SRHT oracles keep the row-wise
-Walsh-Hadamard loop that allocates fresh sums and differences at every stage,
-which the package replaced by an in-place transform down the columns; both
-apply the same butterflies, so they must agree bit for bit.  The risk oracle
+grid search instead of any solver.  The SRHT oracle transforms every padded
+row with the Walsh-Hadamard butterflies, allocating fresh sums and differences
+at every stage, where the package multiplies by the selected signed Hadamard
+columns in closed form; the two sum in different orders, so they agree to
+rounding.  The risk oracle
 keeps the per-trial Monte-Carlo loop (one noise draw and one Cholesky solve per
 trial and direction) that the package replaced by one multi-right-hand-side
 solve per direction.

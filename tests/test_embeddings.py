@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from subsketch import embeddings
 from subsketch.analysis import SpectralSummary, spectral_residual
 from subsketch.embeddings import (
     ADAPTIVE_GAUSSIAN,
@@ -12,7 +14,8 @@ from subsketch.embeddings import (
     OBLIVIOUS_SRHT,
     DegenerateSketch,
     EmbeddingSpec,
-    _fwht_inplace,
+    _srht_columns,
+    _srht_draw,
     apply_srht,
     build_adaptive,
     build_sketch,
@@ -24,7 +27,7 @@ from subsketch.embeddings import (
 from subsketch.numkit import SeededRng, sample_gaussian_matrix
 from subsketch.synth import EXPONENTIAL, SpectrumSpec, synth_matrix
 
-from oracles import allocating_apply_srht, allocating_fwht_rows
+from oracles import allocating_apply_srht
 
 
 class TestSpecValidation:
@@ -41,14 +44,6 @@ class TestSpecValidation:
             EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=0)
 
 
-def _fwht_rows(M):
-    """Orthonormal Walsh-Hadamard transform of each row of M through the
-    in-place column kernel."""
-    X = np.array(M.T, order="C")
-    _fwht_inplace(X)
-    return np.ascontiguousarray(X.T) / np.sqrt(M.shape[1])
-
-
 class TestSrht:
     def test_orthogonality_property(self):
         # materialize the implied embedding by transforming the identity
@@ -60,14 +55,9 @@ class TestSrht:
         out = apply_srht(np.zeros((2, 3)), 2, SeededRng(0))
         assert np.allclose(out, 0.0)
 
-    def test_first_basis_row_transform(self):
-        e1 = np.zeros((1, 4))
-        e1[0, 0] = 1.0
-        assert np.allclose(_fwht_rows(e1), 0.5 * np.ones((1, 4)))
-
-    def test_transform_is_orthonormal(self):
-        H = _fwht_rows(np.eye(8))
-        assert np.abs(H.T @ H - np.eye(8)).max() <= 1e-12
+    def test_no_rows(self):
+        out = apply_srht(np.zeros((0, 5)), 2, SeededRng(0))
+        assert out.shape == (0, 2)
 
     def test_sketch_size_cap(self):
         with pytest.raises(ValueError):
@@ -82,26 +72,36 @@ def _same_bits(a, b):
 
 
 class TestSrhtBitIdentity:
-    """The in-place transform and the m-row oblivious draw change no bit."""
+    """The closed-form signed Hadamard columns against scipy's Hadamard matrix
+    and the identity, bit for bit; their product against the oracle's
+    row-wise transform, to rounding."""
 
-    @pytest.mark.parametrize("rows,width", [(1, 1), (1, 64), (37, 64), (37, 128), (50, 1024)])
-    def test_fwht_rows_matches_allocating_loop(self, rows, width):
-        M = SeededRng(40, rows * 4096 + width).generator().standard_normal((rows, width))
-        assert _same_bits(_fwht_rows(M), allocating_fwht_rows(M))
+    @pytest.mark.parametrize("pt", [1, 2, 8, 256, 2048])
+    def test_columns_are_signed_hadamard_columns(self, pt):
+        for m in sorted({1, min(7, pt), pt}):
+            for seed in (0, 1, 2):
+                signs, cols = _srht_draw(pt, m, SeededRng(seed))
+                H = scipy.linalg.hadamard(pt)[:, cols] * signs[:, None] / np.sqrt(pt)
+                got = _srht_columns(pt, m, SeededRng(seed))
+                # bit for bit: tobytes reads both in C order
+                assert got.shape == H.shape and got.tobytes() == H.tobytes()
 
     @pytest.mark.parametrize("rows,p", [(1, 1), (3, 5), (37, 100), (37, 128), (50, 1000)])
     def test_apply_srht_matches_allocating_loop(self, rows, p):
-        # p = 5, 100 and 1000 are zero-padded; the F-order layout of the result
-        # is kept too, since it decides how later products sum
+        # p = 5, 100 and 1000 are zero-padded; the product sums in another
+        # order than the transform, so they agree to rounding only
         M = SeededRng(41, rows * 4096 + p).generator().standard_normal((rows, p))
         pt = next_pow2(p)
         for m in sorted({1, min(7, pt), pt}):
             for seed in (0, 1, 2):
-                assert _same_bits(apply_srht(M, m, SeededRng(seed)),
-                                  allocating_apply_srht(M, m, SeededRng(seed)))
+                got = apply_srht(M, m, SeededRng(seed))
+                want = allocating_apply_srht(M, m, SeededRng(seed))
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         # a transposed view, as the adaptive SRHT passes A.T
-        assert _same_bits(apply_srht(M.T, 1, SeededRng(3)),
-                          allocating_apply_srht(M.T, 1, SeededRng(3)))
+        got = apply_srht(M.T, 1, SeededRng(3))
+        want = allocating_apply_srht(M.T, 1, SeededRng(3))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("p", [8, 36, 200, 1024, 2000])
     def test_srht_matrix_is_the_transformed_identity(self, p):
@@ -237,6 +237,25 @@ class TestWhiten:
         q = whiten(S)
         P_oracle = S @ np.linalg.pinv(S.T @ S) @ S.T
         assert np.abs(q @ q.T - P_oracle).max() <= 1e-8
+
+
+class TestObliviousSrhtSketch:
+    # d = 36 pads to 64 rows; d = 32 keeps m = d; d = 2000 is the paper's scale
+    @pytest.mark.parametrize("d,m", [(36, 8), (32, 32), (2000, 64)])
+    def test_runs_no_svd(self, monkeypatch, d, m):
+        A = SeededRng(23, d).generator().standard_normal((12, d))
+        S = srht_matrix(d, m, SeededRng(24))
+        q = whiten(S)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an oblivious SRHT sketch needs no SVD")
+
+        monkeypatch.setattr(embeddings, "thin_svd", no_svd)
+        sketch = build_sketch(A, EmbeddingSpec(OBLIVIOUS_SRHT, m=m, seed=SeededRng(24)))
+        assert _same_bits(sketch.s, S)
+        eps = np.finfo(float).eps
+        assert np.abs(sketch.q_s.T @ sketch.q_s - np.eye(m)).max() <= 4 * eps
+        assert np.abs(sketch.q_s @ sketch.q_s.T - q @ q.T).max() <= 1e-13
 
 
 class TestProjectionResidual:
