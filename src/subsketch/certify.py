@@ -260,7 +260,7 @@ def oblivious_zero_order_floor(n=60, d=200, ms=(20, 50, 100), seeds=500, lam=0.1
             se = sq.std(ddof=1) / np.sqrt(seeds)
             passed = sq.mean() >= floor - 3.0 * se
             ok = ok and passed
-            details.append(f"{kind} m={m}: mean={sq.mean():.3f} floor={floor:.3f}")
+            details.append(f"oblivious-{kind} m={m}: mean={sq.mean():.3f} floor={floor:.3f}")
     return CertResult("oblivious-floor", ok, "; ".join(details))
 
 
@@ -302,7 +302,8 @@ def sweep_ordering_and_slopes(n=1000, d=2000, lam=1e-4, trials=10,
                     spec = EmbeddingSpec(ADAPTIVE_GAUSSIAN, m=m, seed=rng)
                     ad[t] = recover_whitened(A, loss, lam, spec, opts, x_star=x_star,
                                              compute_residual=False).rel_err_x1
-                    ob[t] = recover_oblivious_dagger(A, loss, lam, m, rng.derive(1), opts,
+                    dagger = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=m, seed=rng.derive(1))
+                    ob[t] = recover_oblivious_dagger(A, loss, lam, dagger, opts,
                                                      x_star=x_star).rel_err_x1
                 mean_adapt.append(ad.mean())
                 mean_obliv.append(ob.mean())

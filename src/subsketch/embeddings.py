@@ -1,6 +1,8 @@
-"""Random embedding construction: oblivious Gaussian / SRHT, column subsampling,
-data-adaptive sketches with optional power iterations, whitening, and
-projection-residual measurement.
+"""Random embedding construction: oblivious Gaussian / SRHT (kinds ``gaussian``,
+``srht``), column subsampling (``nystrom``), data-adaptive sketches with optional
+power iterations (``adaptive-gaussian``, ``adaptive-srht``), whitening, and
+projection-residual measurement.  Each family's one name is its
+:class:`EmbeddingSpec` kind, which the command line's ``--embedding`` also takes.
 
 A right-embedding for a data matrix ``A`` (n x d) is a ``d x m`` matrix ``S``.
 Adaptive embeddings have the form ``S = (A.T A)^q A.T S_tilde`` where the inner
@@ -28,9 +30,9 @@ from subsketch.numkit import (
     thin_svd,
 )
 
-OBLIVIOUS_GAUSSIAN = "oblivious-gaussian"
-OBLIVIOUS_SRHT = "oblivious-srht"
-COLUMN_SUBSAMPLE = "column-subsample"
+OBLIVIOUS_GAUSSIAN = "gaussian"
+OBLIVIOUS_SRHT = "srht"
+COLUMN_SUBSAMPLE = "nystrom"
 ADAPTIVE_GAUSSIAN = "adaptive-gaussian"
 ADAPTIVE_SRHT = "adaptive-srht"
 
@@ -141,29 +143,21 @@ def srht_matrix(p: int, m: int, rng: SeededRng) -> np.ndarray:
     return S
 
 
-def _draw_inner(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
-    """The product A.T @ S_tilde for the inner oblivious matrix of an adaptive sketch."""
-    n = A.shape[0]
-    if spec.kind == ADAPTIVE_GAUSSIAN:
-        s_tilde = sample_gaussian_matrix(n, spec.m, 1.0 / spec.m, spec.seed)
-        return A.T @ s_tilde
-    if spec.kind == ADAPTIVE_SRHT:
-        # n x m SRHT applied to the columns of A.T
-        return apply_srht(A.T, spec.m, spec.seed)
-    if spec.kind == COLUMN_SUBSAMPLE:
-        idx = spec.seed.generator().choice(n, size=spec.m, replace=False)
-        return A.T[:, idx].copy()
-    raise ValueError(f"not an adaptive-style kind: {spec.kind!r}")
-
-
 def build_adaptive(A: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
     """Adaptive embedding ``(A.T A)^q A.T S_tilde`` by repeated multiplication.
 
     ``A.T A`` is never materialized; each power costs two passes over ``A``.
     """
-    if spec.kind not in ADAPTIVE_KINDS and spec.kind != COLUMN_SUBSAMPLE:
+    n = A.shape[0]
+    if spec.kind == ADAPTIVE_GAUSSIAN:
+        S = A.T @ sample_gaussian_matrix(n, spec.m, 1.0 / spec.m, spec.seed)
+    elif spec.kind == ADAPTIVE_SRHT:
+        # n x m SRHT applied to the columns of A.T
+        S = apply_srht(A.T, spec.m, spec.seed)
+    elif spec.kind == COLUMN_SUBSAMPLE:
+        S = A.T[:, spec.seed.generator().choice(n, size=spec.m, replace=False)].copy()
+    else:
         raise ValueError(f"spec kind must be adaptive, got {spec.kind!r}")
-    S = _draw_inner(A, spec)
     for _ in range(spec.q):
         S = A.T @ (A @ S)
     return S

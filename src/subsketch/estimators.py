@@ -19,12 +19,13 @@ import numpy as np
 
 from subsketch.embeddings import (
     ADAPTIVE_KINDS,
+    OBLIVIOUS_GAUSSIAN,
     EmbeddingSpec,
     build_sketch,
     projection_residual_norm,
 )
 from subsketch.losses import NonSmoothLoss, SmoothLoss
-from subsketch.numkit import SeededRng, sample_gaussian_matrix
+from subsketch.numkit import sample_gaussian_matrix
 from subsketch.solvers import (
     DUAL_OPTIONS,
     SolveOptions,
@@ -114,10 +115,10 @@ def _ensure_reference(A, loss, lam, opts: SolveOptions, x_star=None):
     return x_star, res.converged
 
 
-def _report(loss, lam, x_star, residual, res: SolveResult, x0, x1, runtime_ms,
+def _report(loss, lam, x_star, residual, res: SolveResult, x0, x1, runtime_ms, converged,
             t=0) -> RecoveryReport:
-    """The report of one recovery: the errors of ``x0`` and ``x1`` against
-    ``x_star`` and, when the ``residual`` was measured (is finite), its bound.
+    """The report of one recovery, ``converged`` as given: the errors of ``x0`` and
+    ``x1`` against ``x_star`` and, when the ``residual`` was measured (finite), its bound.
     A smooth loss is bounded by sqrt(mu/2 lam) * residual * min(1, rel_err_x0)
     under the condition lam >= 2 mu residual^2; a non-smooth one
     unconditionally by ||x1 - x*|| <= sqrt(6) (L/lam) * residual."""
@@ -135,7 +136,7 @@ def _report(loss, lam, x_star, residual, res: SolveResult, x0, x1, runtime_ms,
     return RecoveryReport(
         x0=x0, x1=x1, rel_err_x0=rel0, rel_err_x1=rel1, residual_norm=residual,
         bound_rhs=float(bound), condition_ok=cond_ok, runtime_ms=runtime_ms,
-        x_star_norm=x_star_norm, objective=res.objective, converged=res.converged, t=t,
+        x_star_norm=x_star_norm, objective=res.objective, converged=converged, t=t,
     )
 
 
@@ -169,8 +170,7 @@ def _smooth_rounds(A, loss: SmoothLoss, lam, q_s, a_qs, residual, opts, x_star, 
         x_hat = _pad(-(A.T @ loss.gradient(inner)) / lam, dim)
         t1 = time.perf_counter()
         reports.append(_report(loss, lam, x_star, residual, res, v, x_hat, (t1 - t0) * 1e3,
-                               t if T else 0))
-        reports[-1].converged = res.converged and reference_ok
+                               res.converged and reference_ok, t if T else 0))
         t0 = t1
         if not res.converged or reports[-1].rel_err_x1 < error_floor:
             break
@@ -216,14 +216,16 @@ def recover_iterative(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec, T: i
     return _sketch_rounds(A, loss, lam, spec, opts, x_star, True, T, error_floor)
 
 
-def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, m: int, rng: SeededRng,
+def recover_oblivious_dagger(A, loss: SmoothLoss, lam: float, spec: EmbeddingSpec,
                              opts: SolveOptions = SolveOptions(),
                              x_star=None) -> RecoveryReport:
-    """Unbiased oblivious baseline: plain Gaussian Q with the isotropic
-    regularizer and no whitening.  Reports no residual and no bound."""
+    """Unbiased oblivious baseline: the plain Gaussian Q of a ``gaussian`` spec with
+    the isotropic regularizer and no whitening.  Reports no residual and no bound."""
+    if spec.kind != OBLIVIOUS_GAUSSIAN:
+        raise ValueError(f"the oblivious baseline draws a gaussian spec, not {spec.kind!r}")
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
-    Q = sample_gaussian_matrix(A.shape[1], m, 1.0 / m, rng)
+    Q = sample_gaussian_matrix(A.shape[1], spec.m, 1.0 / spec.m, spec.seed)
     return _smooth_rounds(A, loss, lam, Q, A @ Q, float("nan"), opts, x_star, t0)[0]
 
 
@@ -259,8 +261,8 @@ def recover_nonsmooth(A, loss: NonSmoothLoss, lam: float, spec: EmbeddingSpec,
     x1 = -(A.T @ res.minimizer) / lam
     x_arb = -(A.T @ loss.arbitrary_subgradient(w)) / lam
     report = _report(loss, lam, x_star, residual, res, zero_order(sketch.q_s, alpha), x1,
-                     (time.perf_counter() - t0) * 1e3)
-    report.converged = plain.converged and res.converged and reference_ok
+                     (time.perf_counter() - t0) * 1e3,
+                     plain.converged and res.converged and reference_ok)
     return NonsmoothRecovery(
         report=report, y_star=res.minimizer, dual_objective_plain=plain.objective,
         dual_gap=max(plain.grad_norm, res.grad_norm),

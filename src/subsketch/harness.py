@@ -20,11 +20,9 @@ import numpy as np
 
 from subsketch import analysis, certify as certify_suites, estimators, kernelize, synth
 from subsketch.embeddings import (
-    ADAPTIVE_GAUSSIAN,
-    ADAPTIVE_SRHT,
-    COLUMN_SUBSAMPLE,
+    ADAPTIVE_KINDS,
+    KINDS,
     OBLIVIOUS_GAUSSIAN,
-    OBLIVIOUS_SRHT,
     EmbeddingSpec,
     build_sketch,
     next_pow2,
@@ -38,14 +36,8 @@ log = logging.getLogger("subsketch")
 EXPERIMENTS = ("recover", "sweep", "iterative", "nonsmooth", "kernel", "risk",
                "certify", "conditioning")
 
-EMBEDDING_NAMES = {
-    "gaussian": OBLIVIOUS_GAUSSIAN,
-    "srht": OBLIVIOUS_SRHT,
-    "nystrom": COLUMN_SUBSAMPLE,
-    "adaptive-gaussian": ADAPTIVE_GAUSSIAN,
-    "adaptive-srht": ADAPTIVE_SRHT,
-    "oblivious-dagger": "oblivious-dagger",
-}
+# the embedding kinds, plus the unwhitened baseline drawn from a gaussian spec
+EMBEDDING_NAMES = (*sorted(KINDS), "oblivious-dagger")
 
 @dataclass
 class RunRecord:
@@ -214,7 +206,7 @@ class ExperimentConfig:
         if not spectrum.generate(self.n, self.d)[-1] > 0:
             raise ValueError(f"{flag}: the smallest of the {min(self.n, self.d)} singular "
                              "values underflows to 0")
-        adaptive = EMBEDDING_NAMES[self.embedding] in (ADAPTIVE_GAUSSIAN, ADAPTIVE_SRHT)
+        adaptive = self.embedding in ADAPTIVE_KINDS
         # certify draws no embedding from these flags
         if self.q < 0:
             raise ValueError(f"--q must be >= 0, not {self.q}")
@@ -270,7 +262,7 @@ def _add_flags(p: argparse.ArgumentParser):
     p.add_argument("--ratio", type=float)
     p.add_argument("--loss", choices=list(SMOOTH_KINDS + NONSMOOTH_KINDS))
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--embedding", choices=sorted(EMBEDDING_NAMES))
+    p.add_argument("--embedding", choices=EMBEDDING_NAMES)
     p.add_argument("--m", dest="m_list", type=_int_list, help="comma-separated sketch sizes")
     p.add_argument("--q", type=int)
     p.add_argument("--T", type=int)
@@ -353,8 +345,9 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
     round whose solve did not converge; such a round writes no record."""
     rng = SeededRng(config.seed).derive(trial, m_idx)
     opts = config.solve_options()
-    spec = (None if config.embedding == "oblivious-dagger" else
-            EmbeddingSpec(kind=EMBEDDING_NAMES[config.embedding], m=m, q=config.q, seed=rng))
+    dagger = config.embedding == "oblivious-dagger"
+    spec = EmbeddingSpec(kind=OBLIVIOUS_GAUSSIAN if dagger else config.embedding, m=m,
+                         q=config.q, seed=rng)
     records, not_converged = [], []
 
     def add(rep):
@@ -365,12 +358,8 @@ def _run_cell(config, A, summary, loss, x_star, trial, m_idx, m):
         return rep.converged
 
     if config.experiment in ("recover", "sweep", "kernel"):
-        if spec is None:
-            rep = estimators.recover_oblivious_dagger(A, loss, config.lam, m, rng, opts,
-                                                      x_star=x_star)
-        else:
-            rep = estimators.recover_whitened(A, loss, config.lam, spec, opts, x_star=x_star)
-        add(rep)
+        recover = estimators.recover_oblivious_dagger if dagger else estimators.recover_whitened
+        add(recover(A, loss, config.lam, spec, opts, x_star=x_star))
     elif config.experiment == "iterative":
         for rep in estimators.recover_iterative(A, loss, config.lam, spec, config.T, opts,
                                                 x_star=x_star):

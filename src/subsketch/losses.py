@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 QUADRATIC = "quadratic"
 LOGISTIC = "logistic"
@@ -240,14 +241,10 @@ class LogisticLoss(SmoothLoss):
 
     def gradient(self, w):
         w = _check_vector(w, self.n)
-        from scipy.special import expit
-
         return -self.y * expit(-self.y * w) / self.n
 
     def hessian_diag(self, w):
         w = _check_vector(w, self.n)
-        from scipy.special import expit
-
         s = expit(self.y * w)
         return s * (1.0 - s) / self.n
 

@@ -94,11 +94,15 @@ def _newton_step_dual_space(B, BBt, h, lam, g):
 
 
 def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
-                     shift_image=None, shift_coords=None, use_dual_space=False,
-                     reg_gram=None) -> SolveResult:
-    """Minimize f(B x + c) + lam/2 ||x + t||^2 (or lam/2 x.T G x with ``reg_gram=G``)."""
+                     shift_image=None, shift_coords=None, reg_gram=None) -> SolveResult:
+    """Minimize f(B x + c) + lam/2 ||x + t||^2 (or lam/2 x.T G x with ``reg_gram=G``),
+    lam > 0.  Newton steps on the n x n side (matrix-inversion lemma) when the
+    regularizer is isotropic and B (n x p) is wide, p > 1.5 n."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     B = np.asarray(B, dtype=float)
     n, p = B.shape
+    dual_space = reg_gram is None and p > int(1.5 * n)
     c = np.zeros(n) if shift_image is None else np.asarray(shift_image, dtype=float)
     t = np.zeros(p) if shift_coords is None else np.asarray(shift_coords, dtype=float)
     if p == 0:
@@ -124,14 +128,14 @@ def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
     obj = loss.value(w) + ridge_val(x)
     g = B.T @ loss.gradient(w) + ridge_grad(x)
     g0 = max(1.0, float(np.linalg.norm(g)))
-    BBt = B @ B.T if use_dual_space else None
+    BBt = B @ B.T if dual_space else None
     iterations = 0
     grad_norm = float(np.linalg.norm(g))
     for iterations in range(1, opts.max_iters + 1):
         if grad_norm <= opts.grad_tolerance * g0:
             return SolveResult(x, obj, grad_norm, iterations - 1, True)
         h = loss.hessian_diag(w)
-        if use_dual_space:
+        if dual_space:
             delta = _newton_step_dual_space(B, BBt, h, lam, g)
         else:
             delta = _newton_step_direct(B, h, lam, g, G)
@@ -162,23 +166,14 @@ def _minimize_smooth(B, loss: SmoothLoss, lam, opts: SolveOptions,
 
 def solve_primal_reference(A, loss: SmoothLoss, lam: float,
                            opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Minimize f(A x) + lam/2 ||x||^2 over the full dimension.
-
-    When d substantially exceeds n, the Newton systems are solved on the n x n
-    side through the matrix-inversion lemma.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    A = np.asarray(A, dtype=float)
-    n, d = A.shape
-    return _minimize_smooth(A, loss, lam, opts, use_dual_space=d > int(1.5 * n))
+    """Minimize f(A x) + lam/2 ||x||^2 over the full dimension; for d > 1.5 n
+    Newton steps on the n x n side (:func:`_minimize_smooth`)."""
+    return _minimize_smooth(A, loss, lam, opts)
 
 
 def solve_sketched(a_qs, loss: SmoothLoss, lam: float,
                    opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Minimize f(AQ alpha) + lam/2 ||alpha||^2 in the whitened coordinates."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     return _minimize_smooth(a_qs, loss, lam, opts)
 
 
@@ -188,8 +183,6 @@ def solve_sketched_shifted(a_qs, shift_image, shift_coords, loss: SmoothLoss, la
 
     The shifts are the images A @ x_prev and Q.T @ x_prev of a previous iterate.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     a_qs = np.asarray(a_qs, dtype=float)
     shift_image = np.asarray(shift_image, dtype=float)
     shift_coords = np.asarray(shift_coords, dtype=float)
@@ -206,8 +199,6 @@ def solve_sketched_raw(a_s, s, loss: SmoothLoss, lam: float,
     Exists for equivalence checks against the whitened route; the regularizer
     Gram matrix S.T S may be badly conditioned.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     s = np.asarray(s, dtype=float)
     return _minimize_smooth(a_s, loss, lam, opts, reg_gram=s.T @ s)
 

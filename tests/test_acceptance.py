@@ -131,8 +131,7 @@ class TestInfrastructure:
         gen = SeededRng(88).generator()
         A = gen.standard_normal((30, 24))
         worst_wht = 0.0
-        for kind in ("adaptive-gaussian", "adaptive-srht", "oblivious-gaussian",
-                     "column-subsample"):
+        for kind in ("adaptive-gaussian", "adaptive-srht", "gaussian", "nystrom"):
             sketch = build_sketch(A, EmbeddingSpec(kind, m=7, seed=SeededRng(89)))
             r = sketch.q_s.shape[1]
             worst_wht = max(worst_wht, np.abs(sketch.q_s.T @ sketch.q_s - np.eye(r)).max())

@@ -195,18 +195,40 @@ class TestObliviousDagger:
     def test_huge_lambda_limit(self):
         A, loss = _instance(12, 20, seed=16)
         lam = 1e9
-        rep = recover_oblivious_dagger(A, loss, lam, 5, SeededRng(17), TIGHT)
+        spec = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=5, seed=SeededRng(17))
+        rep = recover_oblivious_dagger(A, loss, lam, spec, TIGHT)
         limit = -(A.T @ loss.gradient(np.zeros(12))) / lam
         assert np.linalg.norm(rep.x1 - limit) <= 1e-12
 
     def test_zero_order_stays_in_sketch_range(self):
         A, loss = _instance(15, 30, seed=18)
-        rep = recover_oblivious_dagger(A, loss, 0.1, 6, SeededRng(19), TIGHT)
+        spec = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=6, seed=SeededRng(19))
+        rep = recover_oblivious_dagger(A, loss, 0.1, spec, TIGHT)
         Q = sample_gaussian_matrix(30, 6, 1.0 / 6, SeededRng(19))
         coef = np.linalg.lstsq(Q, rep.x0, rcond=None)[0]
         assert np.linalg.norm(Q @ coef - rep.x0) <= 1e-12 * np.linalg.norm(rep.x0)
         assert np.isnan(rep.residual_norm) and np.isnan(rep.bound_rhs)
         assert not rep.condition_ok
+
+    def test_draws_the_gaussian_of_its_spec(self, monkeypatch):
+        A, loss = _instance(15, 30, seed=18)
+        spec = EmbeddingSpec(OBLIVIOUS_GAUSSIAN, m=6, seed=SeededRng(19))
+        drawn = []
+        rounds = estimators._smooth_rounds
+
+        def spy(A, loss, lam, q_s, *args):
+            drawn.append(q_s)
+            return rounds(A, loss, lam, q_s, *args)
+
+        monkeypatch.setattr(estimators, "_smooth_rounds", spy)
+        recover_oblivious_dagger(A, loss, 0.1, spec, TIGHT)
+        assert np.array_equal(drawn[0], sample_gaussian_matrix(30, 6, 1.0 / 6, SeededRng(19)))
+
+    @pytest.mark.parametrize("kind", ["srht", "nystrom", "adaptive-gaussian", "adaptive-srht"])
+    def test_rejects_a_spec_of_another_kind(self, kind):
+        A, loss = _instance(15, 30, seed=18)
+        with pytest.raises(ValueError, match="gaussian spec"):
+            recover_oblivious_dagger(A, loss, 0.1, EmbeddingSpec(kind, m=6), TIGHT)
 
 
 class TestNystrom:

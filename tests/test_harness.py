@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import weakref
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from subsketch import estimators, harness, kernelize, solvers, synth
+from subsketch.embeddings import KINDS, EmbeddingSpec
 from subsketch.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -65,6 +67,18 @@ class TestParseConfig:
     def test_explicit_decay_rejected(self):
         with pytest.raises(ValueError, match="decay must be"):
             ExperimentConfig(experiment="recover", n=10, d=10, decay="explicit")
+
+    def test_embedding_names_are_the_spec_kinds_and_the_dagger(self):
+        parser = argparse.ArgumentParser()
+        harness._add_flags(parser)
+        choices = next(a.choices for a in parser._actions if a.dest == "embedding")
+        assert list(choices) == [*sorted(KINDS), "oblivious-dagger"]
+        for name in choices:
+            if name == "oblivious-dagger":
+                with pytest.raises(ValueError, match="unknown embedding kind"):
+                    EmbeddingSpec(name, m=2)
+            else:
+                assert EmbeddingSpec(name, m=2).kind == name
 
     def test_dagger_only_for_recover_and_sweep(self):
         assert parse_config("sweep --n 10 --d 10 --embedding oblivious-dagger".split())

@@ -207,6 +207,65 @@ class TestShiftedSolve:
                                    make_loss("quadratic", b=np.zeros(3)), 1.0, TIGHT)
 
 
+class TestNewtonSide:
+    # _minimize_smooth reads its step side from the shape of B (n x p): the
+    # n x n step of the matrix-inversion lemma when p > 1.5 n, unless the
+    # regularizer has its own Gram matrix
+    def _count_dual_steps(self, monkeypatch):
+        calls = []
+        dual_step = solvers._newton_step_dual_space
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return dual_step(*args)
+
+        monkeypatch.setattr(solvers, "_newton_step_dual_space", spy)
+        return calls
+
+    def test_wide_sketched_and_shifted_solves_match_the_direct_step(self, monkeypatch):
+        A, loss = _random_instance(10, 20, seed=30)
+        gen = SeededRng(31).generator()
+        shift_img, shift_co = gen.standard_normal(10), gen.standard_normal(20)
+        calls = self._count_dual_steps(monkeypatch)
+        plain = solve_sketched(A, loss, 0.1, TIGHT)
+        shifted = solve_sketched_shifted(A, shift_img, shift_co, loss, 0.1, TIGHT)
+        assert calls and set(calls) == {(10, 20)}
+        monkeypatch.setattr(solvers, "_newton_step_dual_space",
+                            lambda B, BBt, h, lam, g: _newton_step_direct(B, h, lam, g))
+        direct = solve_sketched(A, loss, 0.1, TIGHT)
+        direct_shifted = solve_sketched_shifted(A, shift_img, shift_co, loss, 0.1, TIGHT)
+        assert plain.converged and shifted.converged
+        assert np.linalg.norm(plain.minimizer - direct.minimizer) <= 1e-10
+        assert np.linalg.norm(shifted.minimizer - direct_shifted.minimizer) <= 1e-10
+
+    def test_wide_quadratic_sketched_solve_is_the_ridge_solution(self, monkeypatch):
+        gen = SeededRng(32).generator()
+        B = gen.standard_normal((8, 20))
+        b = gen.standard_normal(8)
+        calls = self._count_dual_steps(monkeypatch)
+        res = solve_sketched(B, make_loss("quadratic", b=b), 0.3, TIGHT)
+        assert calls
+        assert np.linalg.norm(res.minimizer - ridge_solution(B, b, 0.3)) <= 1e-10
+
+    def test_raw_solve_stays_on_the_direct_step(self, monkeypatch):
+        A, loss = _random_instance(10, 30, seed=33)
+        s = SeededRng(34).generator().standard_normal((30, 20))
+        calls = self._count_dual_steps(monkeypatch)
+        res = solve_sketched_raw(A @ s, s, loss, 0.1, TIGHT)
+        assert res.converged and not calls
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_every_smooth_entry_point_rejects_a_nonpositive_lam(self, lam):
+        A, loss = _random_instance(6, 4, seed=35)
+        for solve in (lambda: solve_primal_reference(A, loss, lam),
+                      lambda: solve_sketched(A, loss, lam),
+                      lambda: solve_sketched(A[:, :0], loss, lam),
+                      lambda: solve_sketched_shifted(A, np.zeros(6), np.zeros(4), loss, lam),
+                      lambda: solve_sketched_raw(A, np.eye(4), loss, lam)):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                solve()
+
+
 class TestProjections:
     def test_box_clipping(self):
         assert np.array_equal(project_box(np.array([5.0, -5.0]), [-1, -1], [1, 1]), [1.0, -1.0])
